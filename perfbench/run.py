@@ -3,13 +3,14 @@
 
 Run from the root of the repository:
 
-    python3 perfbench/run.py --workload btc-fifo-seq --seed 42 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload btc-fifo-seq --seed 42 --seconds 30 --trace 0
     python3 perfbench/run.py --self-test
 
 It builds the release `tin-cli` and this directory's `tin-perfbench`
 package offline, generates the workload's trace from the seed, times
-`tin-cli run` as a child process for `--seconds` seconds, checks every
-output, and prints one JSON object as the last line of stdout: the
+`tin-cli run` as a child process for `--seconds` seconds (times scaled
+to a quiet host by a calibration loop run beside each invocation), checks
+every output, and prints one JSON object as the last line of stdout: the
 end-to-end metrics with `--trace 0`, the per-layer ledger with `--trace 1`.
 README.md beside this file explains the workloads and metrics.
 """
@@ -43,16 +44,29 @@ WORKLOADS = {
 
 # Timed rounds per run, at least. Past that, a run starts another round
 # only if it should end within `--seconds`, judged by the median round so
-# far; so the drill (≈16 s per round) makes one round.
+# far; so the drill (≈25 s per round, calibrations included) makes one round.
 MIN_ROUNDS = 3
 MIN_DRILL_ROUNDS = 1
-# Set-up samples per run: one per round, then more until there are this
-# many or the extra ones took this long.
+# Set-up samples per run: one every SETUP_EVERY rounds (on `btc-fifo-seq`
+# set-up is about half a pass, and the passes are the noisier figures),
+# then more until there are this many or the extra ones took this long.
+SETUP_EVERY = 3
 SETUP_SAMPLES = 15
 SETUP_TOP_UP_S = 2.0
 # Repetitions of the traced in-process path (`--trace 1`).
 LAYER_REPS = 3
 DRILL_LAYER_REPS = 1
+# Host-speed normalisation (README.md): every timed invocation and set-up
+# sample runs between two runs of the `calibrate` loop, and its times are
+# scaled by this many seconds over the mean of the two loop times. It is
+# about the loop's time on the 2-vCPU box the benchmark was written on when
+# that box was quiet, so reported times are seconds on that box, quiet.
+CALIBRATION_REF_S = 0.2
+# Loop runs per calibration (their median is used). The drill's
+# invocations take 7-11 s, so one 0.2 s loop is a poor sample of the host
+# speed around them.
+CALIBRATION_REPS = 1
+DRILL_CALIBRATION_REPS = 5
 # A run must end within 180 s of its build: children still running this
 # long after the build are killed.
 RUN_DEADLINE_S = 170
@@ -193,6 +207,9 @@ class Bench:
         self.cli = os.path.join(bins, "tin-cli")
         self.ledger = os.path.join(bins, "tin-perfbench")
         self.alloc_peak = os.path.join(bins, "alloc_peak")
+        self.calibrate = os.path.join(bins, "calibrate")
+        self.last_calibration = None
+        self.calibrations = []
         self.work = work
         self.trace = os.path.join(work, f"{workload}-seed{seed}.csv")
         self.ckdir = os.path.join(work, "checkpoints")
@@ -201,7 +218,29 @@ class Bench:
         self.deadline = time.perf_counter() + RUN_DEADLINE_S
 
     def spawn(self, args):
+        self.last_calibration = None
         return spawn(args, self.work, self.deadline)
+
+    def calibration(self):
+        reps = DRILL_CALIBRATION_REPS if "crash_at" in self.w else CALIBRATION_REPS
+        inv = spawn([self.calibrate, "--reps", str(reps)], self.work, self.deadline)
+        value = key_values(inv.stdout).get("calibration_s") if inv.rc == 0 else None
+        if value is None:
+            log(f"calibrate failed: {inv.stderr.strip()}")
+            raise SystemExit(1)
+        self.calibrations.append(float(value))
+        return float(value)
+
+    def scaled(self, measure):
+        """Run `measure()` between two host-speed calibrations. Returns its
+        result and the factor that turns its times into seconds on the
+        quiet reference box. The calibration after one measurement is the
+        one before the next, unless another process ran in between."""
+        before = self.last_calibration or self.calibration()
+        result = measure()
+        after = self.calibration()
+        self.last_calibration = after
+        return result, CALIBRATION_REF_S * 2 / (before + after)
 
     def run_ledger(self, job, *args):
         inv = self.spawn([self.ledger, job, *args])
@@ -238,35 +277,41 @@ class Bench:
         if "crash_at" in self.w:
             args += ["--checkpoint-dir", self.ckdir,
                      "--checkpoint-every", str(self.w["checkpoint_every"])]
-        value = self.run_ledger(*args).get("setup_s")
+        facts, scale = self.scaled(lambda: self.run_ledger(*args))
         shutil.rmtree(self.ckdir, ignore_errors=True)
-        return float(value) if value is not None else None
+        value = facts.get("setup_s")
+        return float(value) * scale if value is not None else None
 
     def one_pass(self, reference):
-        """One `tin-cli run` job, checked. Returns (pass dict, stdout)."""
+        """One `tin-cli run` job, checked. Returns (pass dict, stdout); its
+        times are scaled to the quiet reference box, except `raw_wall`."""
         if "crash_at" not in self.w:
-            inv = self.cli_run()
+            inv, scale = self.scaled(self.cli_run)
             self.tally.check(inv, True, self.sums, reference)
-            return {"processed": self.input["interactions"], "wall": inv.wall_s,
-                    "cpu": inv.cpu_s, "rss": inv.rss_bytes, "answer_wall": inv.wall_s}, inv.stdout
+            return {"processed": self.input["interactions"], "wall": inv.wall_s * scale,
+                    "cpu": inv.cpu_s * scale, "rss": inv.rss_bytes,
+                    "answer_wall": inv.wall_s * scale, "raw_wall": inv.wall_s}, inv.stdout
         every, crash_at = self.w["checkpoint_every"], self.w["crash_at"]
         flags = ["--checkpoint-dir", self.ckdir, "--checkpoint-every", str(every)]
         shutil.rmtree(self.ckdir, ignore_errors=True)
-        crash = self.cli_run(*flags, "--crash-at", str(crash_at))
+        crash, crash_scale = self.scaled(lambda: self.cli_run(*flags, "--crash-at", str(crash_at)))
         kept = [os.path.join(self.ckdir, f"ckpt-{k:012}.tin")
                 for k in range(every, crash_at + 1, every)]
         self.tally.check(crash, False, self.sums,
                          stderr_has=f"injected crash at interaction {crash_at}", files=kept)
-        resume = self.cli_run(*flags, "--resume")
+        resume, resume_scale = self.scaled(lambda: self.cli_run(*flags, "--resume"))
         self.tally.check(resume, True, self.sums, reference)
         shutil.rmtree(self.ckdir, ignore_errors=True)
-        return {"processed": crash_at, "wall": crash.wall_s,
-                "cpu": crash.cpu_s + resume.cpu_s, "rss": max(crash.rss_bytes, resume.rss_bytes),
-                "answer_wall": resume.wall_s, "pass_wall": crash.wall_s + resume.wall_s}, resume.stdout
+        return {"processed": crash_at, "wall": crash.wall_s * crash_scale,
+                "cpu": crash.cpu_s * crash_scale + resume.cpu_s * resume_scale,
+                "rss": max(crash.rss_bytes, resume.rss_bytes),
+                "answer_wall": resume.wall_s * resume_scale,
+                "raw_wall": crash.wall_s + resume.wall_s}, resume.stdout
 
     def passes(self):
         """The untraced part of every run: an untimed reference run, then
-        rounds of (one set-up sample, one timed pass) for `--seconds`."""
+        timed passes for `--seconds`, with a set-up sample every
+        SETUP_EVERY rounds; each pass and sample sits between calibrations."""
         reference = None
         drill = "crash_at" in self.w
         if self.w["shards"] > 1 or drill:
@@ -284,9 +329,10 @@ class Bench:
         while len(rounds) < min_rounds or (
                 time.perf_counter() - started + statistics.median(durations) <= self.seconds):
             round_started = time.perf_counter()
-            setup = self.setup_sample()
-            if setup is not None:
-                setups.append(setup)
+            if len(rounds) % SETUP_EVERY == 0:
+                setup = self.setup_sample()
+                if setup is not None:
+                    setups.append(setup)
             rounds.append(self.one_pass(reference)[0])
             durations.append(time.perf_counter() - round_started)
         # A set-up sample is a single short process, so it is noisier than a
@@ -298,15 +344,18 @@ class Bench:
                 break
             setups.append(setup)
         self.rounds, self.setups = rounds, setups
-        walls = sorted(r.get("pass_wall", r["wall"]) for r in rounds)
+        walls = sorted(r["raw_wall"] for r in rounds)
         log(f"{len(rounds)} timed rounds in {time.perf_counter() - started:.1f} s; "
             f"pass wall min {walls[0]:.3f} s, median {statistics.median(walls):.3f} s, "
             f"max {walls[-1]:.3f} s")
         log("pass walls: " + " ".join(f"{w:.4f}" for w in walls))
-        log("set-up samples: " + " ".join(f"{x:.4f}" for x in setups))
+        log("calibrations: " + " ".join(f"{c:.4f}" for c in self.calibrations))
+        log("scaled set-up samples: " + " ".join(f"{x:.4f}" for x in setups))
 
     def pass_wall(self):
-        return statistics.median(r.get("pass_wall", r["wall"]) for r in self.rounds)
+        """Median unscaled pass wall, the base the in-process ledger (which
+        is not scaled) reconciles to."""
+        return statistics.median(r["raw_wall"] for r in self.rounds)
 
     def end_to_end(self):
         return {
@@ -431,7 +480,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true",
                         help="check that a perturbed output is counted as failed, then exit")
