@@ -49,6 +49,7 @@ use tin_core::ids::VertexId;
 use tin_core::policy::{PolicyConfig, SelectionPolicy};
 use tin_core::tracker::build_tracker;
 use tin_datasets::{DatasetKind, ScaleProfile};
+use tin_obs::json::escape;
 use tin_shard::ShardedEngine;
 
 /// Interactions between two footprint samples of the instrumented pass.
@@ -797,10 +798,6 @@ fn run_threshold_sweep(w: &Workload, reps: usize) -> Vec<SweepRow> {
         .collect()
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn fmt_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.6}")
@@ -895,7 +892,7 @@ fn main() {
                         "\"peak_footprint_bytes\": {}, ",
                         "\"final_footprint_bytes\": {}, \"peak_alloc_bytes\": {}, \"reps\": {}}}"
                     ),
-                    json_escape(&r.key),
+                    escape(&r.key),
                     fmt_f64(r.timing.median_secs),
                     fmt_f64(r.timing.min_secs),
                     fmt_f64(r.timing.max_secs),
@@ -949,7 +946,7 @@ fn main() {
                     "\"speedup_vs_sequential\": {}, \"reps\": {}}}"
                 ),
                 kind.key(),
-                json_escape(&scaling_config.key()),
+                escape(&scaling_config.key()),
                 row.mode,
                 row.shards,
                 fmt_f64(row.timing.median_secs),
@@ -1010,7 +1007,7 @@ fn main() {
                 "     \"intervals\": [\n      {}\n     ]}}"
             ),
             kind.key(),
-            json_escape(&ckpt.policy),
+            escape(&ckpt.policy),
             fmt_f64(ckpt.capture_secs),
             fmt_f64(ckpt.save_secs),
             ckpt.encoded_bytes,
@@ -1056,7 +1053,7 @@ fn main() {
                 "     \"intervals\": [\n      {}\n     ]}}"
             ),
             kind.key(),
-            json_escape(&recovery.policy),
+            escape(&recovery.policy),
             recovery.shards,
             recovery_rows.join(",\n      "),
         ));
@@ -1105,7 +1102,7 @@ fn main() {
                 "     \"modes\": [\n      {}\n     ]}}"
             ),
             kind.key(),
-            json_escape(&telemetry.policy),
+            escape(&telemetry.policy),
             telemetry.telemetry_every,
             telemetry.records_per_pass,
             telemetry.bytes_per_pass,
@@ -1163,7 +1160,7 @@ fn main() {
         };
         speedups.push(format!(
             "{{\"dataset\": \"{}\", \"pre_change_interactions_per_sec\": {}, \"measured_interactions_per_sec\": {}, \"speedup\": {}}}",
-            json_escape(dataset),
+            escape(dataset),
             fmt_f64(pre),
             fmt_f64(*now),
             fmt_f64(ratio),

@@ -1353,8 +1353,12 @@ mod tests {
 
     const TRACE: &str = "src,dst,time,qty\nexchange,alice,1,100\nalice,bob,2,60\nbob,carol,3,30\nmallory,carol,4,5\n";
 
+    /// A fresh copy of [`TRACE`] per call: tests run in parallel, and a
+    /// shared file rewritten by one test can be read half-written by another.
     fn write_trace() -> std::path::PathBuf {
-        let path = temp_path("trace.csv");
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = temp_path(&format!("trace_{n}.csv"));
         std::fs::write(&path, TRACE).unwrap();
         path
     }

@@ -70,7 +70,7 @@ pub const FILE_EXTENSION: &str = "tin";
 /// Restoring a checkpoint seeds the engine's counters from this cursor so the
 /// resumed run's [`crate::engine::EngineReport`] matches an uninterrupted one
 /// (modulo wall-clock runtime, which is genuinely different).
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StreamCursor {
     /// Interactions processed before the checkpoint was taken. Resume skips
     /// exactly this many interactions of the replayed stream.
@@ -435,7 +435,6 @@ pub struct CheckpointStore {
     retry_backoff: Duration,
     #[allow(clippy::type_complexity)]
     fault_hook: Option<Box<dyn FnMut() -> std::io::Result<()> + Send>>,
-    saves: usize,
     last_save_stats: Option<SaveStats>,
 }
 
@@ -444,7 +443,6 @@ impl std::fmt::Debug for CheckpointStore {
         f.debug_struct("CheckpointStore")
             .field("dir", &self.dir)
             .field("retention", &self.retention)
-            .field("saves", &self.saves)
             .finish()
     }
 }
@@ -464,7 +462,6 @@ impl CheckpointStore {
             retry_attempts: 3,
             retry_backoff: Duration::from_millis(10),
             fault_hook: None,
-            saves: 0,
             last_save_stats: None,
         })
     }
@@ -493,11 +490,6 @@ impl CheckpointStore {
     /// The directory this store manages.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Number of checkpoints successfully saved through this store.
-    pub fn saves(&self) -> usize {
-        self.saves
     }
 
     /// Encode/write timings of the most recent successful [`Self::save`]
@@ -541,7 +533,6 @@ impl CheckpointStore {
             write_secs += write_start.elapsed().as_secs_f64();
             match attempt_result {
                 Ok(()) => {
-                    self.saves += 1;
                     self.last_save_stats = Some(SaveStats {
                         encode_secs,
                         write_secs,
@@ -811,7 +802,6 @@ mod tests {
             ckpt.cursor.processed = processed;
             store.save(&ckpt).unwrap();
         }
-        assert_eq!(store.saves(), 3);
         let files = store.list().unwrap();
         assert_eq!(files.len(), 3);
         assert_eq!(store.latest().unwrap(), Some(files[2].clone()));
@@ -888,11 +878,12 @@ mod tests {
         // Two injected failures, three attempts: the save succeeds.
         let ckpt = sample_checkpoint();
         store.save(&ckpt).unwrap();
-        assert_eq!(store.saves(), 1);
-        // Exhausting every attempt surfaces the I/O error.
+        assert_eq!(store.last_save_stats().map(|s| s.retries), Some(2));
+        // Exhausting every attempt surfaces the I/O error and leaves the
+        // last successful save's stats in place.
         failures.store(usize::MAX, std::sync::atomic::Ordering::SeqCst);
         assert!(matches!(store.save(&ckpt), Err(TinError::Io(_))));
-        assert_eq!(store.saves(), 1);
+        assert_eq!(store.last_save_stats().map(|s| s.retries), Some(2));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -932,7 +923,7 @@ mod tests {
         let store = CheckpointStore::open(&dir).unwrap();
         assert!(store.load_latest_valid().unwrap().is_none());
         assert!(store.latest().unwrap().is_none());
-        assert_eq!(store.saves(), 0);
+        assert!(store.last_save_stats().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

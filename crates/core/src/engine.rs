@@ -9,12 +9,17 @@
 //!   errors instead of debug assertions,
 //! * flow accounting (how much quantity was relayed vs. newly generated —
 //!   the two cases of Algorithm 1),
-//! * periodic checkpoints of the provenance state (see [`crate::snapshot`]),
+//! * durable, resumable checkpoints of the full provenance state (see
+//!   [`crate::checkpoint`]),
 //! * and throughput reporting for capacity planning.
 //!
 //! [`ProvenanceEngine`] packages all of that behind one streaming interface,
 //! and [`run_ensemble`] runs several policies side by side over the same
-//! stream — the shape of every experiment in Section 7.
+//! stream — the shape of every experiment in Section 7. The bookkeeping
+//! itself lives in [`EngineCore`], which the sharded engine of the
+//! `tin-shard` crate embeds as well, so the two engines keep one stream
+//! cursor, one durable-checkpoint cadence, one set of shared metrics and one
+//! report builder.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -29,7 +34,6 @@ use crate::memory::FootprintBreakdown;
 use crate::origins::OriginSet;
 use crate::policy::PolicyConfig;
 use crate::quantity::Quantity;
-use crate::snapshot::ProvenanceSnapshot;
 use crate::stream::InteractionSource;
 use crate::tracker::{build_tracker, ProvenanceTracker};
 
@@ -57,7 +61,8 @@ pub struct EngineReport {
     /// short-lived spikes between samples may be missed). At least as large
     /// as `footprint.total()`.
     pub peak_footprint_bytes: usize,
-    /// Number of checkpoints recorded during the run.
+    /// Durable checkpoints saved by this engine instance, periodic and
+    /// on-demand ([`ProvenanceEngine::checkpoint_to`]).
     pub checkpoints_taken: usize,
 }
 
@@ -83,113 +88,352 @@ impl EngineReport {
     }
 }
 
-/// Preregistered metric handles for an attached [`Obs`] unit. Registration
-/// happens once in [`ProvenanceEngine::with_observability`]; every hot-path
-/// update is an index into pre-sized storage (zero steady-state
+/// `every` itself, or [`TinError::InvalidConfig`] naming `what` if it is
+/// zero — the check every "do X every N interactions" option shares.
+///
+/// # Errors
+/// Returns [`TinError::InvalidConfig`] if `every` is zero.
+pub fn positive_interval(every: usize, what: &str) -> Result<usize> {
+    if every == 0 {
+        return Err(TinError::InvalidConfig(format!("{what} must be positive")));
+    }
+    Ok(every)
+}
+
+/// Whole nanoseconds from fractional seconds (rounded, saturating).
+fn secs_to_ns(secs: f64) -> u64 {
+    (secs * 1e9).round().clamp(0.0, u64::MAX as f64) as u64
+}
+
+/// An attached observability unit plus the handles of the metrics both
+/// engines share. [`EngineCore::attach_obs`] is the one place these names
+/// are registered, so each has one kind and one unit on either engine; every
+/// hot-path update is an index into pre-sized storage (zero steady-state
 /// allocations, enforced by the `obs_alloc_counting` integration test).
-struct EngineObsState {
-    obs: Obs,
-    /// Per-interaction `tracker.process` latency.
-    latency_ns: HistogramId,
+pub struct EngineObs {
+    /// The unit itself.
+    pub obs: Obs,
     /// Sampled logical footprint (every periodic or spike-driven sample).
     footprint_bytes: GaugeId,
     /// Spike-monitor firings that forced an out-of-schedule sample.
     spikes: CounterId,
-    /// Durable checkpoint phase timings and retry churn.
+    /// Full-state capture time of every [`Checkpoint`] the engine builds.
     ckpt_capture_ns: HistogramId,
+    /// Durable-save phase timings, retry churn and size.
     ckpt_encode_ns: HistogramId,
     ckpt_write_ns: HistogramId,
     ckpt_retries: CounterId,
     ckpt_bytes: GaugeId,
 }
 
-impl EngineObsState {
+impl EngineObs {
     fn new(mut obs: Obs) -> Self {
-        let latency_ns = obs.metrics.histogram("tracker_latency_ns", "ns");
-        let footprint_bytes = obs.metrics.gauge("footprint_bytes", "bytes");
-        let spikes = obs.metrics.counter("footprint_spikes_total", "count");
-        let ckpt_capture_ns = obs.metrics.histogram("checkpoint_capture_ns", "ns");
-        let ckpt_encode_ns = obs.metrics.histogram("checkpoint_encode_ns", "ns");
-        let ckpt_write_ns = obs.metrics.histogram("checkpoint_write_ns", "ns");
-        let ckpt_retries = obs.metrics.counter("checkpoint_retries_total", "count");
-        let ckpt_bytes = obs.metrics.gauge("checkpoint_bytes", "bytes");
-        EngineObsState {
+        let m = &mut obs.metrics;
+        EngineObs {
+            footprint_bytes: m.gauge("footprint_bytes", "bytes"),
+            spikes: m.counter("footprint_spikes_total", "spikes"),
+            ckpt_capture_ns: m.histogram("checkpoint_capture_ns", "ns"),
+            ckpt_encode_ns: m.histogram("checkpoint_encode_ns", "ns"),
+            ckpt_write_ns: m.histogram("checkpoint_write_ns", "ns"),
+            ckpt_retries: m.counter("checkpoint_retries_total", "attempts"),
+            ckpt_bytes: m.gauge("checkpoint_bytes", "bytes"),
             obs,
-            latency_ns,
-            footprint_bytes,
-            spikes,
-            ckpt_capture_ns,
-            ckpt_encode_ns,
-            ckpt_write_ns,
-            ckpt_retries,
-            ckpt_bytes,
         }
-    }
-
-    /// Fold one durable-save's phase timings into the checkpoint metrics
-    /// and drop a span on the flight recorder.
-    fn record_checkpoint(
-        &mut self,
-        capture_started: Instant,
-        capture: Duration,
-        stats: Option<SaveStats>,
-    ) {
-        self.obs
-            .metrics
-            .observe_duration(self.ckpt_capture_ns, capture);
-        if let Some(s) = stats {
-            self.obs
-                .metrics
-                .observe(self.ckpt_encode_ns, secs_to_ns(s.encode_secs));
-            self.obs
-                .metrics
-                .observe(self.ckpt_write_ns, secs_to_ns(s.write_secs));
-            self.obs.metrics.add(self.ckpt_retries, s.retries as u64);
-            self.obs
-                .metrics
-                .set_gauge(self.ckpt_bytes, s.encoded_bytes as u64);
-        }
-        self.obs.trace.record("checkpoint", 0, capture_started);
     }
 }
 
-/// Whole nanoseconds from fractional seconds (saturating).
-fn secs_to_ns(secs: f64) -> u64 {
-    (secs * 1e9).max(0.0).min(u64::MAX as f64) as u64
-}
-
-/// An attached live-telemetry stream: a JSONL sink plus its cadence.
-/// Emission happens off the per-interaction hot path (every `every`
-/// interactions), so the zero-allocation steady-state contract is
+/// An attached live-telemetry stream: the JSONL sink, its
+/// every-N-interactions cadence, and the stream position of the last record
+/// (so the quiesce syncs of post-run queries on the sharded engine do not
+/// emit stale records after the `final` one). Emission happens off the
+/// per-interaction hot path, so the zero-allocation steady-state contract is
 /// unaffected between emission points.
 struct TelemetryState {
     sink: Telemetry,
     every: usize,
+    last_at: Option<u64>,
+}
+
+/// The bookkeeping every engine front-end shares (Algorithm 1's stream
+/// position and newborn-versus-relayed totals, plus everything around them):
+/// the stream cursor, busy time, the durable-checkpoint cadence, the
+/// observability unit with the shared metrics, the telemetry stream, and the
+/// [`EngineReport`] builder. [`ProvenanceEngine`] and the `tin-shard`
+/// sharded engine each embed one.
+pub struct EngineCore {
+    /// The policy configuration the engine runs.
+    pub config: PolicyConfig,
+    /// Stable key of `config`.
+    pub policy_key: String,
+    /// Size of the vertex set.
+    pub num_vertices: usize,
+    /// Stream position and flow totals — exactly what a durable
+    /// [`Checkpoint`] records.
+    pub cursor: StreamCursor,
+    /// Seconds reported as [`EngineReport::runtime_secs`].
+    pub busy_secs: f64,
+    /// Attached observability unit (`None` = uninstrumented: each hot-path
+    /// hook pays exactly one branch).
+    pub obs: Option<Box<EngineObs>>,
+    /// Durable checkpoint store and interval, when periodic checkpoints are
+    /// enabled.
+    durable: Option<(CheckpointStore, usize)>,
+    /// Durable checkpoints saved so far (periodic and on-demand).
+    checkpoints_taken: usize,
+    /// Attached live-telemetry stream, if any.
+    telemetry: Option<Box<TelemetryState>>,
+}
+
+impl EngineCore {
+    /// Fresh bookkeeping for `config` over `num_vertices` vertices.
+    pub fn new(config: &PolicyConfig, num_vertices: usize) -> Self {
+        EngineCore {
+            config: config.clone(),
+            policy_key: config.key(),
+            num_vertices,
+            cursor: StreamCursor::default(),
+            busy_secs: 0.0,
+            obs: None,
+            durable: None,
+            checkpoints_taken: 0,
+            telemetry: None,
+        }
+    }
+
+    /// Validate `r` as the next stream step: malformed interaction, unknown
+    /// endpoint, or time going backwards. Both engines validate through
+    /// here, which is what keeps their validation and error surface
+    /// identical.
+    ///
+    /// # Errors
+    /// * [`TinError::InvalidQuantity`] / [`TinError::InvalidTimestamp`] /
+    ///   [`TinError::SelfLoop`] for malformed interactions,
+    /// * [`TinError::UnknownVertex`] for endpoints outside the vertex set,
+    /// * [`TinError::OutOfOrder`] if time goes backwards.
+    #[inline]
+    pub fn validate(&self, r: &Interaction) -> Result<()> {
+        let position = self.cursor.processed;
+        r.validate(Some(position))?;
+        for endpoint in [r.src, r.dst] {
+            if endpoint.index() >= self.num_vertices {
+                return Err(TinError::UnknownVertex {
+                    vertex: endpoint,
+                    num_vertices: self.num_vertices,
+                });
+            }
+        }
+        if let Some(previous) = self.cursor.last_time {
+            if r.time.0 < previous {
+                return Err(TinError::OutOfOrder {
+                    position,
+                    previous,
+                    current: r.time.0,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Move the cursor past `r`: its quantity joins the total, its time
+    /// becomes the last time. Newborn quantity is folded separately, because
+    /// the sharded engine learns it only when a wavefront completes.
+    #[inline]
+    pub fn advance(&mut self, r: &Interaction) {
+        self.cursor.total_quantity += r.qty;
+        self.cursor.last_time = Some(r.time.0);
+        self.cursor.processed += 1;
+    }
+
+    /// Fold one full footprint sample (total bytes) into the peak and the
+    /// `footprint_bytes` gauge; `spiked` marks a spike-monitor sample.
+    #[inline]
+    pub fn sample_footprint(&mut self, total: usize, spiked: bool) {
+        self.cursor.peak_footprint_bytes = self.cursor.peak_footprint_bytes.max(total);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.obs.metrics.set_gauge(o.footprint_bytes, total as u64);
+            if spiked {
+                o.obs.metrics.inc(o.spikes);
+            }
+        }
+    }
+
+    /// Seed the cursor from a checkpoint's. The peak keeps the larger of the
+    /// two: on a fresh engine that is the checkpoint's, and an in-run
+    /// restore must not lose the live peak.
+    pub fn restore_cursor(&mut self, cursor: &StreamCursor) {
+        let peak = self.cursor.peak_footprint_bytes;
+        self.cursor = *cursor;
+        self.cursor.peak_footprint_bytes = peak.max(cursor.peak_footprint_bytes);
+    }
+
+    /// Save a durable checkpoint into `store` every `every` interactions.
+    ///
+    /// # Errors
+    /// Returns [`TinError::InvalidConfig`] if `every` is zero.
+    pub fn set_durable(&mut self, store: CheckpointStore, every: usize) -> Result<()> {
+        let every = positive_interval(every, "durable checkpoint interval")?;
+        self.durable = Some((store, every));
+        Ok(())
+    }
+
+    /// Whether the interaction just processed ends a durable-checkpoint
+    /// interval.
+    #[inline]
+    pub fn durable_due(&self) -> bool {
+        self.durable
+            .as_ref()
+            .is_some_and(|(_, every)| self.cursor.processed.is_multiple_of(*every))
+    }
+
+    /// Save `checkpoint` into the periodic durable store.
+    ///
+    /// # Errors
+    /// Propagates the store's [`TinError::Io`] failures.
+    ///
+    /// # Panics
+    /// If no durable store is configured (callers check
+    /// [`Self::durable_due`] first).
+    pub fn save_durable(&mut self, checkpoint: &Checkpoint) -> Result<()> {
+        let (store, _) = self.durable.as_mut().expect("durable_due checked");
+        store.save(checkpoint)?;
+        let stats = store.last_save_stats();
+        self.record_save(stats);
+        Ok(())
+    }
+
+    /// Save `checkpoint` into `store` on demand. Returns the file's path.
+    ///
+    /// # Errors
+    /// Propagates the store's [`TinError::Io`] failures.
+    pub fn save_to(
+        &mut self,
+        store: &mut CheckpointStore,
+        checkpoint: &Checkpoint,
+    ) -> Result<PathBuf> {
+        let path = store.save(checkpoint)?;
+        self.record_save(store.last_save_stats());
+        Ok(path)
+    }
+
+    /// Count one durable save and fold its timing figures into the
+    /// checkpoint metrics.
+    fn record_save(&mut self, stats: Option<SaveStats>) {
+        self.checkpoints_taken += 1;
+        let (Some(o), Some(s)) = (self.obs.as_deref_mut(), stats) else {
+            return;
+        };
+        let m = &mut o.obs.metrics;
+        m.observe(o.ckpt_encode_ns, secs_to_ns(s.encode_secs));
+        m.observe(o.ckpt_write_ns, secs_to_ns(s.write_secs));
+        m.add(o.ckpt_retries, s.retries as u64);
+        m.set_gauge(o.ckpt_bytes, s.encoded_bytes as u64);
+    }
+
+    /// Record one full-state capture that began at `start` (durable,
+    /// on-demand or recovery snapshot alike) and return its duration.
+    pub fn record_capture(&mut self, start: Instant) -> Duration {
+        let elapsed = start.elapsed();
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.obs.metrics.observe_duration(o.ckpt_capture_ns, elapsed);
+            o.obs.trace.record("checkpoint_capture", 0, start);
+        }
+        elapsed
+    }
+
+    /// Attach `obs`, registering the shared metrics after whatever the
+    /// caller registered into it already.
+    pub fn attach_obs(&mut self, obs: Obs) {
+        self.obs = Some(Box::new(EngineObs::new(obs)));
+    }
+
+    /// The attached observability unit, if any.
+    pub fn obs(&self) -> Option<&Obs> {
+        self.obs.as_deref().map(|o| &o.obs)
+    }
+
+    /// Detach and return the observability unit.
+    pub fn take_obs(&mut self) -> Option<Obs> {
+        self.obs.take().map(|o| o.obs)
+    }
+
+    /// Stream a telemetry record every `every` interactions.
+    ///
+    /// # Errors
+    /// Returns [`TinError::InvalidConfig`] if `every` is zero.
+    pub fn set_telemetry(&mut self, sink: Telemetry, every: usize) -> Result<()> {
+        let every = positive_interval(every, "telemetry interval")?;
+        self.telemetry = Some(Box::new(TelemetryState {
+            sink,
+            every,
+            last_at: None,
+        }));
+        Ok(())
+    }
+
+    /// Whether records can be emitted: a stream and a unit are attached.
+    pub fn streams_telemetry(&self) -> bool {
+        self.obs.is_some() && self.telemetry.is_some()
+    }
+
+    /// Whether the interaction just processed ends a telemetry interval.
+    #[inline]
+    pub fn telemetry_due(&self) -> bool {
+        self.telemetry
+            .as_deref()
+            .is_some_and(|t| self.cursor.processed.is_multiple_of(t.every))
+    }
+
+    /// Whether the stream has advanced since the last record.
+    pub fn telemetry_behind(&self) -> bool {
+        self.telemetry
+            .as_deref()
+            .is_some_and(|t| t.last_at != Some(self.cursor.processed as u64))
+    }
+
+    /// Emit one record of the unit's current state, tagged with `source`.
+    /// Returns `false` without side effects when no stream or no unit is
+    /// attached.
+    ///
+    /// # Errors
+    /// Propagates sink write failures as [`TinError::Io`].
+    pub fn emit_telemetry(&mut self, source: &str) -> Result<bool> {
+        let (Some(o), Some(t)) = (self.obs.as_deref(), self.telemetry.as_deref_mut()) else {
+            return Ok(false);
+        };
+        let at = self.cursor.processed as u64;
+        t.sink.emit(at, source, &o.obs.snapshot())?;
+        t.last_at = Some(at);
+        Ok(true)
+    }
+
+    /// The report for everything processed so far, given the current
+    /// footprint.
+    pub fn report(&self, footprint: FootprintBreakdown) -> EngineReport {
+        let c = &self.cursor;
+        EngineReport {
+            policy: self.policy_key.clone(),
+            interactions: c.processed,
+            runtime_secs: self.busy_secs,
+            total_quantity: c.total_quantity,
+            newborn_quantity: c.newborn_quantity,
+            relayed_quantity: c.total_quantity - c.newborn_quantity,
+            peak_footprint_bytes: c.peak_footprint_bytes.max(footprint.total()),
+            footprint,
+            checkpoints_taken: self.checkpoints_taken,
+        }
+    }
 }
 
 /// A validated, instrumented streaming front-end for one provenance tracker.
 pub struct ProvenanceEngine {
     tracker: Box<dyn ProvenanceTracker>,
-    config: PolicyConfig,
-    policy_key: String,
-    num_vertices: usize,
-    checkpoint_interval: Option<usize>,
-    checkpoints: Vec<ProvenanceSnapshot>,
-    durable: Option<(CheckpointStore, usize)>,
-    last_time: Option<f64>,
-    processed: usize,
-    total_quantity: Quantity,
-    newborn_quantity: Quantity,
-    peak_footprint_bytes: usize,
-    busy_secs: f64,
+    core: EngineCore,
     /// Explicit footprint-sampling interval; `None` uses the default
     /// schedule `max(FOOTPRINT_SAMPLE_INTERVAL, |V|/64)`.
     footprint_sample_interval: Option<usize>,
-    /// Attached observability unit (`None` = uninstrumented: the hot path
-    /// pays exactly one branch).
-    obs: Option<Box<EngineObsState>>,
-    /// Attached live-telemetry stream, if any.
-    telemetry: Option<Box<TelemetryState>>,
+    /// Per-interaction `tracker.process` latency, registered with the
+    /// attached observability unit.
+    latency_ns: Option<HistogramId>,
 }
 
 impl ProvenanceEngine {
@@ -219,21 +463,9 @@ impl ProvenanceEngine {
         tracker.arm_spike_monitor(Self::SPIKE_FRACTION);
         Ok(ProvenanceEngine {
             tracker,
-            config: config.clone(),
-            policy_key: config.key(),
-            num_vertices,
-            checkpoint_interval: None,
-            checkpoints: Vec::new(),
-            durable: None,
-            last_time: None,
-            processed: 0,
-            total_quantity: 0.0,
-            newborn_quantity: 0.0,
-            peak_footprint_bytes: 0,
-            busy_secs: 0.0,
+            core: EngineCore::new(config, num_vertices),
             footprint_sample_interval: None,
-            obs: None,
-            telemetry: None,
+            latency_ns: None,
         })
     }
 
@@ -246,12 +478,8 @@ impl ProvenanceEngine {
     /// # Errors
     /// Returns [`TinError::InvalidConfig`] if `every` is zero.
     pub fn with_footprint_sample_interval(mut self, every: usize) -> Result<Self> {
-        if every == 0 {
-            return Err(TinError::InvalidConfig(
-                "footprint sample interval must be positive".into(),
-            ));
-        }
-        self.footprint_sample_interval = Some(every);
+        self.footprint_sample_interval =
+            Some(positive_interval(every, "footprint sample interval")?);
         Ok(self)
     }
 
@@ -262,20 +490,21 @@ impl ProvenanceEngine {
     /// allocation-free; the engine's observable results are unaffected.
     /// Retrieve the unit with [`Self::take_obs`] when the run ends.
     #[must_use]
-    pub fn with_observability(mut self, obs: Obs) -> Self {
-        self.obs = Some(Box::new(EngineObsState::new(obs)));
+    pub fn with_observability(mut self, mut obs: Obs) -> Self {
+        self.latency_ns = Some(obs.metrics.histogram("tracker_latency_ns", "ns"));
+        self.core.attach_obs(obs);
         self
     }
 
     /// The attached observability unit, if any (live scraping via
     /// [`Obs::snapshot`]).
     pub fn obs(&self) -> Option<&Obs> {
-        self.obs.as_deref().map(|state| &state.obs)
+        self.core.obs()
     }
 
     /// Detach and return the observability unit for export.
     pub fn take_obs(&mut self) -> Option<Obs> {
-        self.obs.take().map(|state| state.obs)
+        self.core.take_obs()
     }
 
     /// Stream a delta-encoded telemetry record (see
@@ -286,15 +515,10 @@ impl ProvenanceEngine {
     /// # Errors
     /// Returns [`TinError::InvalidConfig`] if `every` is zero.
     pub fn with_telemetry(mut self, sink: Telemetry, every: usize) -> Result<Self> {
-        if every == 0 {
-            return Err(TinError::InvalidConfig(
-                "telemetry interval must be positive".into(),
-            ));
-        }
-        if self.obs.is_none() {
+        self.core.set_telemetry(sink, every)?;
+        if self.core.obs.is_none() {
             self = self.with_observability(Obs::new());
         }
-        self.telemetry = Some(Box::new(TelemetryState { sink, every }));
         Ok(self)
     }
 
@@ -305,35 +529,12 @@ impl ProvenanceEngine {
     /// # Errors
     /// Propagates sink write failures as [`TinError::Io`].
     pub fn emit_telemetry(&mut self, source: &str) -> Result<bool> {
-        let Some(t) = self.telemetry.as_deref_mut() else {
-            return Ok(false);
-        };
-        let Some(o) = self.obs.as_deref() else {
-            return Ok(false);
-        };
-        let snap = o.obs.snapshot();
-        t.sink.emit(self.processed as u64, source, &snap)?;
-        Ok(true)
-    }
-
-    /// Record a [`ProvenanceSnapshot`] every `interval` interactions.
-    ///
-    /// # Errors
-    /// Returns [`TinError::InvalidConfig`] if `interval` is zero.
-    pub fn with_checkpoints(mut self, interval: usize) -> Result<Self> {
-        if interval == 0 {
-            return Err(TinError::InvalidConfig(
-                "checkpoint interval must be positive".into(),
-            ));
-        }
-        self.checkpoint_interval = Some(interval);
-        Ok(self)
+        self.core.emit_telemetry(source)
     }
 
     /// Write a durable [`Checkpoint`] into `store` every `every`
-    /// interactions. Unlike [`Self::with_checkpoints`] (lossy in-memory
-    /// summaries), these are full lossless state captures a crashed run can
-    /// resume from with [`Self::resume_from`].
+    /// interactions: a full lossless state capture a crashed run can resume
+    /// from with [`Self::resume_from`].
     ///
     /// # Errors
     /// Returns [`TinError::InvalidConfig`] if `every` is zero.
@@ -342,12 +543,7 @@ impl ProvenanceEngine {
         store: CheckpointStore,
         every: usize,
     ) -> Result<Self> {
-        if every == 0 {
-            return Err(TinError::InvalidConfig(
-                "durable checkpoint interval must be positive".into(),
-            ));
-        }
-        self.durable = Some((store, every));
+        self.core.set_durable(store, every)?;
         Ok(self)
     }
 
@@ -365,23 +561,13 @@ impl ProvenanceEngine {
         // Re-arm the spike monitor: `new` baselined it on an empty tracker,
         // and drift must be measured from the restored footprint.
         engine.tracker.arm_spike_monitor(Self::SPIKE_FRACTION);
-        engine.processed = checkpoint.cursor.processed;
-        engine.last_time = checkpoint.cursor.last_time;
-        engine.total_quantity = checkpoint.cursor.total_quantity;
-        engine.newborn_quantity = checkpoint.cursor.newborn_quantity;
-        engine.peak_footprint_bytes = checkpoint.cursor.peak_footprint_bytes;
+        engine.core.restore_cursor(&checkpoint.cursor);
         Ok(engine)
     }
 
     /// The engine's current stream position and flow counters.
     pub fn cursor(&self) -> StreamCursor {
-        StreamCursor {
-            processed: self.processed,
-            last_time: self.last_time,
-            total_quantity: self.total_quantity,
-            newborn_quantity: self.newborn_quantity,
-            peak_footprint_bytes: self.peak_footprint_bytes,
-        }
+        self.core.cursor
     }
 
     /// Capture a durable [`Checkpoint`] of the current state without
@@ -391,7 +577,11 @@ impl ProvenanceEngine {
     /// Returns [`TinError::InvalidConfig`] for trackers without durable
     /// checkpoint support (none of the factory policies).
     pub fn checkpoint(&mut self) -> Result<Checkpoint> {
-        Checkpoint::capture(&self.config, self.cursor(), self.tracker.as_mut())
+        let start = Instant::now();
+        let checkpoint =
+            Checkpoint::capture(&self.core.config, self.core.cursor, self.tracker.as_mut())?;
+        self.core.record_capture(start);
+        Ok(checkpoint)
     }
 
     /// Capture the current state and save it into `store` (atomic write,
@@ -400,15 +590,8 @@ impl ProvenanceEngine {
     /// # Errors
     /// Propagates capture errors and the store's [`TinError::Io`] failures.
     pub fn checkpoint_to(&mut self, store: &mut CheckpointStore) -> Result<PathBuf> {
-        let capture_start = Instant::now();
         let checkpoint = self.checkpoint()?;
-        let capture_elapsed = capture_start.elapsed();
-        let path = store.save(&checkpoint)?;
-        let stats = store.last_save_stats();
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.record_checkpoint(capture_start, capture_elapsed, stats);
-        }
-        Ok(path)
+        self.core.save_to(store, &checkpoint)
     }
 
     /// The wrapped tracker.
@@ -418,12 +601,7 @@ impl ProvenanceEngine {
 
     /// The stable key of the policy this engine runs.
     pub fn policy_key(&self) -> &str {
-        &self.policy_key
-    }
-
-    /// Checkpoints recorded so far, oldest first.
-    pub fn checkpoints(&self) -> &[ProvenanceSnapshot] {
-        &self.checkpoints
+        &self.core.policy_key
     }
 
     /// Current provenance of the quantity buffered at `v`.
@@ -444,76 +622,49 @@ impl ProvenanceEngine {
     /// * [`TinError::UnknownVertex`] for endpoints outside the vertex set,
     /// * [`TinError::OutOfOrder`] if time goes backwards.
     pub fn process(&mut self, r: &Interaction) -> Result<()> {
-        validate_stream_step(r, self.processed, self.num_vertices, self.last_time)?;
+        self.core.validate(r)?;
 
         // Flow accounting (Algorithm 1): anything the source buffer cannot
         // cover is newly generated at the source.
-        let newborn = newborn_quantity(self.tracker.buffered(r.src), r.qty);
-        self.total_quantity += r.qty;
-        self.newborn_quantity += newborn;
+        self.core.cursor.newborn_quantity += newborn_quantity(self.tracker.buffered(r.src), r.qty);
 
         let start = Instant::now();
         self.tracker.process(r);
         let elapsed = start.elapsed();
-        self.busy_secs += elapsed.as_secs_f64();
-        if let Some(o) = self.obs.as_deref_mut() {
+        self.core.busy_secs += elapsed.as_secs_f64();
+        if let (Some(o), Some(latency_ns)) = (self.core.obs.as_deref_mut(), self.latency_ns) {
             // Reuses the latency measurement the engine takes anyway; the
             // record itself is an array index plus integer adds. The sketch
             // offers are linear scans over a pre-sized table — also
             // allocation-free.
-            o.obs.metrics.observe_duration(o.latency_ns, elapsed);
+            o.obs.metrics.observe_duration(latency_ns, elapsed);
             o.obs.hot_vertices.offer(r.src.raw(), 1);
             o.obs.hot_vertices.offer(r.dst.raw(), 1);
         }
 
-        self.last_time = Some(r.time.0);
-        self.processed += 1;
+        self.core.advance(r);
         let sample_every = self
             .footprint_sample_interval
-            .unwrap_or_else(|| Self::FOOTPRINT_SAMPLE_INTERVAL.max(self.num_vertices / 64));
+            .unwrap_or_else(|| Self::FOOTPRINT_SAMPLE_INTERVAL.max(self.core.num_vertices / 64));
         // Read the spike flag unconditionally: a short-circuited read on a
         // periodic-sample interaction would leave the monitor un-rebaselined
         // and trigger a redundant full sample one interaction later.
         let spiked = self.tracker.take_footprint_spike();
-        if spiked || self.processed.is_multiple_of(sample_every) {
-            let total = self.tracker.footprint().total();
-            self.peak_footprint_bytes = self.peak_footprint_bytes.max(total);
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.obs.metrics.set_gauge(o.footprint_bytes, total as u64);
-                if spiked {
-                    o.obs.metrics.inc(o.spikes);
-                }
-            }
+        if spiked || self.core.cursor.processed.is_multiple_of(sample_every) {
+            self.core
+                .sample_footprint(self.tracker.footprint().total(), spiked);
             if !spiked {
                 // A spike read re-baselines on its own; periodic samples
                 // re-baseline here so drift is measured from the last sample.
                 self.tracker.note_footprint_sampled();
             }
         }
-        if let Some(interval) = self.checkpoint_interval {
-            if self.processed.is_multiple_of(interval) {
-                self.checkpoints
-                    .push(ProvenanceSnapshot::capture(self.tracker.as_ref(), r.time.0));
-            }
+        if self.core.durable_due() {
+            let checkpoint = self.checkpoint()?;
+            self.core.save_durable(&checkpoint)?;
         }
-        if let Some((_, every)) = &self.durable {
-            if self.processed.is_multiple_of(*every) {
-                let capture_start = Instant::now();
-                let checkpoint =
-                    Checkpoint::capture(&self.config, self.cursor(), self.tracker.as_mut())?;
-                let capture_elapsed = capture_start.elapsed();
-                let (store, _) = self.durable.as_mut().expect("durable checked above");
-                store.save(&checkpoint)?;
-                let stats = store.last_save_stats();
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.record_checkpoint(capture_start, capture_elapsed, stats);
-                }
-            }
-        }
-        if let Some(t) = self.telemetry.as_deref() {
-            if self.processed.is_multiple_of(t.every) {
-                self.emit_telemetry("interval")?;
-            }
+        if self.core.telemetry_due() {
+            self.core.emit_telemetry("interval")?;
         }
         Ok(())
     }
@@ -536,69 +687,18 @@ impl ProvenanceEngine {
 
     /// The report for everything processed so far.
     pub fn report(&self) -> EngineReport {
-        let footprint = self.tracker.footprint();
-        EngineReport {
-            policy: self.policy_key.clone(),
-            interactions: self.processed,
-            runtime_secs: self.busy_secs,
-            total_quantity: self.total_quantity,
-            newborn_quantity: self.newborn_quantity,
-            relayed_quantity: self.total_quantity - self.newborn_quantity,
-            peak_footprint_bytes: self.peak_footprint_bytes.max(footprint.total()),
-            footprint,
-            checkpoints_taken: self.checkpoints.len()
-                + self.durable.as_ref().map_or(0, |(store, _)| store.saves()),
-        }
+        self.core.report(self.tracker.footprint())
     }
 }
 
 impl std::fmt::Debug for ProvenanceEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProvenanceEngine")
-            .field("policy", &self.policy_key)
-            .field("num_vertices", &self.num_vertices)
-            .field("processed", &self.processed)
-            .field("checkpoints", &self.checkpoints.len())
+            .field("policy", &self.core.policy_key)
+            .field("num_vertices", &self.core.num_vertices)
+            .field("processed", &self.core.cursor.processed)
             .finish()
     }
-}
-
-/// Stream-step validation shared by every engine front-end (the sequential
-/// [`ProvenanceEngine`] and the sharded engine of the `tin-shard` crate):
-/// malformed interaction, unknown endpoint, or time going backwards. Keeping
-/// one copy is what makes the two engines' "identical validation and error
-/// surface" claim safe against future rule changes.
-///
-/// # Errors
-/// * [`TinError::InvalidQuantity`] / [`TinError::InvalidTimestamp`] /
-///   [`TinError::SelfLoop`] for malformed interactions,
-/// * [`TinError::UnknownVertex`] for endpoints outside the vertex set,
-/// * [`TinError::OutOfOrder`] if time goes backwards.
-pub fn validate_stream_step(
-    r: &Interaction,
-    processed: usize,
-    num_vertices: usize,
-    last_time: Option<f64>,
-) -> Result<()> {
-    r.validate(Some(processed))?;
-    for endpoint in [r.src, r.dst] {
-        if endpoint.index() >= num_vertices {
-            return Err(TinError::UnknownVertex {
-                vertex: endpoint,
-                num_vertices,
-            });
-        }
-    }
-    if let Some(prev) = last_time {
-        if r.time.0 < prev {
-            return Err(TinError::OutOfOrder {
-                position: processed,
-                previous: prev,
-                current: r.time.0,
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Algorithm 1's newborn split, shared by every engine front-end: the part
@@ -700,25 +800,6 @@ mod tests {
         engine
             .process(&Interaction::new(1u32, 2u32, 5.0, 1.0))
             .unwrap();
-    }
-
-    #[test]
-    fn engine_checkpoints_periodically() {
-        let mut engine = ProvenanceEngine::new(&fifo_config(), 3)
-            .unwrap()
-            .with_checkpoints(2)
-            .unwrap();
-        engine.process_all(&paper_running_example()).unwrap();
-        let report = engine.report();
-        assert_eq!(report.checkpoints_taken, 3);
-        assert_eq!(engine.checkpoints().len(), 3);
-        assert_eq!(engine.checkpoints()[0].interactions_processed, 2);
-        assert_eq!(engine.checkpoints()[2].time, 8.0);
-        // Zero interval is rejected.
-        assert!(ProvenanceEngine::new(&fifo_config(), 3)
-            .unwrap()
-            .with_checkpoints(0)
-            .is_err());
     }
 
     #[test]
@@ -916,7 +997,7 @@ mod tests {
             obs.trace
                 .events()
                 .iter()
-                .filter(|e| e.name == "checkpoint")
+                .filter(|e| e.name == "checkpoint_capture")
                 .count(),
             2
         );

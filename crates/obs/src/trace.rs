@@ -15,7 +15,7 @@ use std::time::Instant;
 /// One completed span on the shared timeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Span name (a static label: `"wavefront_dispatch"`, `"checkpoint"`…).
+    /// Span name (a static label: `"wavefront_dispatch"`, `"checkpoint_capture"`…).
     pub name: &'static str,
     /// Track id: 0 for the main thread, `shard + 1` for shard workers.
     pub tid: u32,

@@ -129,9 +129,11 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError}
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tin_core::checkpoint::{Checkpoint, CheckpointStore, SaveStats, StreamCursor};
+use tin_core::checkpoint::{Checkpoint, CheckpointStore, StreamCursor};
 use tin_core::codec::ByteReader;
-use tin_core::engine::{newborn_quantity, validate_stream_step, EngineReport};
+use tin_core::engine::{
+    newborn_quantity, positive_interval, EngineCore, EngineReport, ProvenanceEngine,
+};
 use tin_core::error::{Result, TinError};
 use tin_core::ids::VertexId;
 use tin_core::interaction::Interaction;
@@ -157,11 +159,6 @@ pub fn shard_of(v: VertexId, num_shards: usize) -> usize {
 /// Maximum number of wavefronts in flight before the main thread blocks on
 /// completions (bounds queued messages and the newborn reassembly buffers).
 const MAX_IN_FLIGHT: usize = 8;
-
-/// How many locally processed interactions between two footprint samples on
-/// a shard (mirrors the sequential engine's
-/// `ProvenanceEngine::FOOTPRINT_SAMPLE_INTERVAL`).
-const SHARD_SAMPLE_INTERVAL: usize = 1024;
 
 /// Span capacity of each worker's private flight recorder. Workers ship and
 /// clear their spans at every sync barrier, so this only bounds the spans
@@ -240,8 +237,6 @@ struct WorkerMetricIds {
     imports: CounterId,
     /// Per-vertex states shipped between shards (exports + returns).
     migrations: CounterId,
-    /// Footprint spikes caught by the shard's spike monitor.
-    spikes: CounterId,
     /// Wall time of one shard's share of one wavefront.
     batch_ns: HistogramId,
     /// Deferred messages queued behind the current wavefront.
@@ -255,7 +250,6 @@ fn register_worker_metrics(metrics: &mut Registry) -> WorkerMetricIds {
         locals: metrics.counter("shard_local_interactions_total", "interactions"),
         imports: metrics.counter("shard_import_interactions_total", "interactions"),
         migrations: metrics.counter("shard_state_migrations_total", "states"),
-        spikes: metrics.counter("footprint_spikes_total", "spikes"),
         batch_ns: metrics.histogram("shard_batch_ns", "ns"),
         backlog_depth: metrics.gauge("shard_backlog_messages_total", "messages"),
         stash_depth: metrics.gauge("shard_stash_states_total", "states"),
@@ -373,10 +367,11 @@ enum FromShard {
         /// `(offset_in_batch, newborn_quantity)` for every interaction this
         /// shard processed.
         newborn: Vec<(u32, f64)>,
-        /// A fresh full-footprint sample (total bytes), attached when the
-        /// shard's spike-or-interval schedule fired after this batch. The
-        /// main thread folds it into the synchronized global peak.
-        footprint: Option<usize>,
+        /// A fresh full-footprint sample (total bytes, and whether the spike
+        /// monitor forced it), attached when the shard's spike-or-interval
+        /// schedule fired after this batch. The main thread folds it into
+        /// the synchronized global peak.
+        footprint: Option<(usize, bool)>,
     },
     Origins(OriginSet),
     Buffered(Quantity),
@@ -463,12 +458,12 @@ enum BatchAbort {
     MainLost,
 }
 
-/// The main thread's observability state: the user's [`Obs`] with the
+/// The sharded engine's own metric handles in the attached [`Obs`]: the
 /// shared worker-metric prefix registered first (the
-/// [`Registry::merge_prefix_from`] layout contract), followed by the
-/// main-thread scheduling, barrier and checkpoint metrics.
-struct ShardObsState {
-    obs: Obs,
+/// [`Registry::merge_prefix_from`] layout contract), then — after the
+/// metrics both engines share, which [`EngineCore::attach_obs`] registers —
+/// the main-thread scheduling, barrier and recovery metrics.
+struct ShardObsIds {
     /// Worker-prefix handles: valid into every worker delta registry too
     /// (the layouts are identical by construction), which is how
     /// [`ShardedEngine::collect_sync_acks`] reads each shard's busy time
@@ -478,100 +473,32 @@ struct ShardObsState {
     wavefronts: CounterId,
     inflight: GaugeId,
     barrier_ns: HistogramId,
-    footprint_bytes: GaugeId,
     /// Per-barrier-window spread (max − min) of the shards' busy time.
     busy_spread: GaugeId,
     /// Per-barrier-window max/mean shard busy time, in permille (1000 =
     /// perfectly balanced).
     imbalance: GaugeId,
-    ckpt_capture_ns: HistogramId,
-    ckpt_encode_ns: HistogramId,
-    ckpt_write_ns: HistogramId,
-    ckpt_retries: CounterId,
-    ckpt_bytes: GaugeId,
     respawns: CounterId,
     recoveries: CounterId,
     replayed: CounterId,
     recovery_ns: HistogramId,
 }
 
-impl ShardObsState {
-    fn new(mut obs: Obs) -> Self {
-        // Worker prefix first: shard deltas merge into the registry by
-        // index, so the prefix layouts must be identical.
-        let worker_ids = register_worker_metrics(&mut obs.metrics);
-        let m = &mut obs.metrics;
-        let wavefront_size = m.histogram("wavefront_batch_interactions_total", "interactions");
-        let wavefronts = m.counter("wavefronts_total", "wavefronts");
-        let inflight = m.gauge("wavefronts_in_flight_total", "wavefronts");
-        let barrier_ns = m.histogram("sync_barrier_ns", "ns");
-        let footprint_bytes = m.gauge("footprint_bytes", "bytes");
-        let busy_spread = m.gauge("barrier_busy_spread_ns", "ns");
-        let imbalance = m.gauge("batch_imbalance_ratio", "permille");
-        let ckpt_capture_ns = m.histogram("checkpoint_capture_ns", "ns");
-        let ckpt_encode_ns = m.histogram("checkpoint_encode_ns", "ns");
-        let ckpt_write_ns = m.histogram("checkpoint_write_ns", "ns");
-        let ckpt_retries = m.counter("checkpoint_retries_total", "attempts");
-        let ckpt_bytes = m.gauge("checkpoint_bytes", "bytes");
-        let respawns = m.counter("worker_respawns_total", "workers");
-        let recoveries = m.counter("recoveries_total", "recoveries");
-        let replayed = m.counter("replayed_interactions_total", "interactions");
-        let recovery_ns = m.histogram("recovery_ns", "ns");
-        ShardObsState {
-            obs,
+impl ShardObsIds {
+    fn new(worker_ids: WorkerMetricIds, m: &mut Registry) -> Self {
+        ShardObsIds {
             worker_ids,
-            wavefront_size,
-            wavefronts,
-            inflight,
-            barrier_ns,
-            footprint_bytes,
-            busy_spread,
-            imbalance,
-            ckpt_capture_ns,
-            ckpt_encode_ns,
-            ckpt_write_ns,
-            ckpt_retries,
-            ckpt_bytes,
-            respawns,
-            recoveries,
-            replayed,
-            recovery_ns,
+            wavefront_size: m.histogram("wavefront_batch_interactions_total", "interactions"),
+            wavefronts: m.counter("wavefronts_total", "wavefronts"),
+            inflight: m.gauge("wavefronts_in_flight_total", "wavefronts"),
+            barrier_ns: m.histogram("sync_barrier_ns", "ns"),
+            busy_spread: m.gauge("barrier_busy_spread_ns", "ns"),
+            imbalance: m.gauge("batch_imbalance_ratio", "permille"),
+            respawns: m.counter("worker_respawns_total", "workers"),
+            recoveries: m.counter("recoveries_total", "recoveries"),
+            replayed: m.counter("replayed_interactions_total", "interactions"),
+            recovery_ns: m.histogram("recovery_ns", "ns"),
         }
-    }
-
-    /// Fold one [`CheckpointStore::save`]'s timing figures into the
-    /// checkpoint metrics.
-    fn record_save(&mut self, stats: Option<SaveStats>) {
-        let Some(s) = stats else { return };
-        self.obs
-            .metrics
-            .observe(self.ckpt_encode_ns, secs_to_ns(s.encode_secs));
-        self.obs
-            .metrics
-            .observe(self.ckpt_write_ns, secs_to_ns(s.write_secs));
-        self.obs.metrics.add(self.ckpt_retries, s.retries as u64);
-        self.obs
-            .metrics
-            .set_gauge(self.ckpt_bytes, s.encoded_bytes as u64);
-    }
-}
-
-/// An attached live-telemetry stream: the JSONL sink, its
-/// every-N-interactions cadence, and the stream position of the last record
-/// (so the quiesce syncs of post-run queries do not emit stale barriers
-/// after the `final` record).
-struct TelemetryState {
-    sink: Telemetry,
-    every: usize,
-    last_at: Option<u64>,
-}
-
-/// Seconds (as measured) to integer nanoseconds for histogram observation.
-fn secs_to_ns(secs: f64) -> u64 {
-    if secs <= 0.0 {
-        0
-    } else {
-        (secs * 1e9).round().min(u64::MAX as f64) as u64
     }
 }
 
@@ -579,9 +506,10 @@ fn secs_to_ns(secs: f64) -> u64 {
 /// accounting and report surface, bit-identical provenance, `N`-way shard
 /// parallelism (see the module docs).
 pub struct ShardedEngine {
-    config: PolicyConfig,
-    policy_key: String,
-    num_vertices: usize,
+    /// Stream cursor, durable cadence, shared metrics, telemetry, report.
+    core: EngineCore,
+    /// The sharded engine's own metric handles, set with the unit.
+    obs_ids: Option<ShardObsIds>,
     num_shards: usize,
     scheduler: WavefrontScheduler,
     to_shards: Vec<Sender<ToShard>>,
@@ -595,34 +523,17 @@ pub struct ShardedEngine {
     in_flight: BTreeMap<usize, PendingBatch>,
     /// Start index of the next wavefront to fold into the flow totals.
     next_fold: usize,
-    processed: usize,
     /// Stream position the shards were last quiesced at: a repeated quiesce
     /// with no interactions in between is a no-op, so query loops (e.g. the
     /// CLI printing every vertex) pay the synchronisation round once.
     synced_through: usize,
-    last_time: Option<f64>,
-    total_quantity: Quantity,
-    newborn_quantity: Quantity,
-    busy_secs: f64,
-    /// The most recent full-footprint sample (total bytes) of each shard.
+    /// The most recent full-footprint sample (total bytes) of each shard;
+    /// their sum is the synchronized global footprint whose maximum over
+    /// time the cursor keeps as the reported peak.
     latest_footprint: Vec<usize>,
-    /// Maximum, over time, of `latest_footprint.iter().sum()` — the
-    /// synchronized global footprint peak reported by [`Self::report`].
-    peak_footprint: usize,
-    /// Durable checkpoint store and interval, when periodic checkpoints are
-    /// enabled via [`Self::with_durable_checkpoints`].
-    durable: Option<(CheckpointStore, usize)>,
-    /// Durable checkpoints written so far (periodic and on-demand).
-    checkpoints_taken: usize,
     /// Set on the first worker failure; every subsequent operation returns
     /// this error instead of touching the (dead) channels.
     poisoned: Option<TinError>,
-    /// Observability sink, when attached via [`Self::with_observability`].
-    /// Boxed so the uninstrumented engine pays one pointer and one branch.
-    obs: Option<Box<ShardObsState>>,
-    /// Live telemetry stream ([`Self::with_telemetry`]): records are
-    /// emitted every `every` interactions and at every sync barrier.
-    telemetry: Option<Box<TelemetryState>>,
     /// Supervised-recovery configuration ([`Self::with_self_healing`]).
     /// `None` (the default): worker death poisons the engine (fail fast).
     recovery: Option<RecoveryPolicy>,
@@ -663,9 +574,8 @@ impl ShardedEngine {
         let (to_shards, from_shards, handles) = spawn_pool(config, num_vertices, num_shards);
 
         Ok(ShardedEngine {
-            config: config.clone(),
-            policy_key: config.key(),
-            num_vertices,
+            core: EngineCore::new(config, num_vertices),
+            obs_ids: None,
             num_shards,
             scheduler: WavefrontScheduler::new(num_vertices, EpochRule::for_policy(config)),
             to_shards,
@@ -675,19 +585,9 @@ impl ShardedEngine {
             open_start: 0,
             in_flight: BTreeMap::new(),
             next_fold: 0,
-            processed: 0,
             synced_through: 0,
-            last_time: None,
-            total_quantity: 0.0,
-            newborn_quantity: 0.0,
-            busy_secs: 0.0,
             latest_footprint: vec![0; num_shards],
-            peak_footprint: 0,
-            durable: None,
-            checkpoints_taken: 0,
             poisoned: None,
-            obs: None,
-            telemetry: None,
             recovery: None,
             recovery_snapshot: None,
             replay_buffer: VecDeque::new(),
@@ -710,12 +610,7 @@ impl ShardedEngine {
         store: CheckpointStore,
         every: usize,
     ) -> Result<Self> {
-        if every == 0 {
-            return Err(TinError::InvalidConfig(
-                "durable checkpoint interval must be positive".into(),
-            ));
-        }
-        self.durable = Some((store, every));
+        self.core.set_durable(store, every)?;
         Ok(self)
     }
 
@@ -729,14 +624,26 @@ impl ShardedEngine {
     ///
     /// # Errors
     /// [`TinError::WorkerLost`] if a shard worker died.
-    pub fn with_observability(mut self, obs: Obs) -> Result<Self> {
-        let state = Box::new(ShardObsState::new(obs));
-        let epoch = state.obs.trace.epoch();
+    pub fn with_observability(mut self, mut obs: Obs) -> Result<Self> {
+        let epoch = obs.trace.epoch();
         for shard in 0..self.num_shards {
             self.send_to(shard, ToShard::EnableObs { epoch })?;
         }
-        self.obs = Some(state);
+        // Worker prefix first: shard deltas merge into the registry by
+        // index, so the prefix layouts must be identical.
+        let worker_ids = register_worker_metrics(&mut obs.metrics);
+        self.core.attach_obs(obs);
+        let shared = self.core.obs.as_deref_mut().expect("just attached");
+        self.obs_ids = Some(ShardObsIds::new(worker_ids, &mut shared.obs.metrics));
         Ok(self)
+    }
+
+    /// The attached unit together with the sharded engine's own handles.
+    fn shard_obs(&mut self) -> Option<(&mut Obs, &ShardObsIds)> {
+        Some((
+            &mut self.core.obs.as_deref_mut()?.obs,
+            self.obs_ids.as_ref()?,
+        ))
     }
 
     /// Take a full footprint sample every `every` locally processed
@@ -748,11 +655,7 @@ impl ShardedEngine {
     /// [`TinError::InvalidConfig`] if `every` is zero;
     /// [`TinError::WorkerLost`] if a shard worker died.
     pub fn with_footprint_sample_interval(mut self, every: usize) -> Result<Self> {
-        if every == 0 {
-            return Err(TinError::InvalidConfig(
-                "footprint sample interval must be positive".into(),
-            ));
-        }
+        let every = positive_interval(every, "footprint sample interval")?;
         for shard in 0..self.num_shards {
             self.send_to(shard, ToShard::SetSampleInterval(every))?;
         }
@@ -777,11 +680,7 @@ impl ShardedEngine {
     /// [`TinError::InvalidConfig`] if `policy.snapshot_every` is zero;
     /// [`TinError::WorkerLost`] if a shard worker died before enabling.
     pub fn with_self_healing(mut self, policy: RecoveryPolicy) -> Result<Self> {
-        if policy.snapshot_every == 0 {
-            return Err(TinError::InvalidConfig(
-                "recovery snapshot interval must be positive".into(),
-            ));
-        }
+        positive_interval(policy.snapshot_every, "recovery snapshot interval")?;
         self.recovery = Some(policy);
         let snapshot = self.checkpoint_attempt()?;
         self.adopt_snapshot(snapshot);
@@ -819,7 +718,7 @@ impl ShardedEngine {
     /// The attached observability sink, if any. Worker metrics lag until
     /// the next sync barrier; use [`Self::take_obs`] for final numbers.
     pub fn obs(&self) -> Option<&Obs> {
-        self.obs.as_deref().map(|s| &s.obs)
+        self.core.obs()
     }
 
     /// Quiesce (folding every worker's outstanding metric and span deltas
@@ -828,11 +727,11 @@ impl ShardedEngine {
     /// # Errors
     /// [`TinError::WorkerLost`] if a shard worker died.
     pub fn take_obs(&mut self) -> Result<Option<Obs>> {
-        if self.obs.is_none() {
+        if self.core.obs.is_none() {
             return Ok(None);
         }
         self.with_heal(Self::quiesce)?;
-        Ok(self.obs.take().map(|s| s.obs))
+        Ok(self.core.take_obs())
     }
 
     /// Detach the observability sink *without* quiescing — the crash
@@ -841,7 +740,7 @@ impl ShardedEngine {
     /// (plus all coordinator-side metrics and spans), which is exactly the
     /// black box a post-mortem wants.
     pub fn take_obs_unsynced(&mut self) -> Option<Obs> {
-        self.obs.take().map(|s| s.obs)
+        self.core.take_obs()
     }
 
     /// Stream a delta-encoded telemetry record (see [`tin_obs::Telemetry`])
@@ -853,19 +752,10 @@ impl ShardedEngine {
     /// [`TinError::WorkerLost`] if a shard worker died while attaching the
     /// implicit observability sink.
     pub fn with_telemetry(mut self, sink: Telemetry, every: usize) -> Result<Self> {
-        if every == 0 {
-            return Err(TinError::InvalidConfig(
-                "telemetry interval must be positive".into(),
-            ));
-        }
-        if self.obs.is_none() {
+        self.core.set_telemetry(sink, every)?;
+        if self.core.obs.is_none() {
             self = self.with_observability(Obs::new())?;
         }
-        self.telemetry = Some(Box::new(TelemetryState {
-            sink,
-            every,
-            last_at: None,
-        }));
         Ok(self)
     }
 
@@ -880,28 +770,11 @@ impl ShardedEngine {
     /// Propagates sink write failures as [`TinError::Io`], and
     /// [`TinError::WorkerLost`] if a shard worker died during the quiesce.
     pub fn emit_telemetry(&mut self, source: &str) -> Result<bool> {
-        if self.obs.is_none() || self.telemetry.is_none() {
+        if !self.core.streams_telemetry() {
             return Ok(false);
         }
         self.quiesce()?;
-        self.emit_record(source)
-    }
-
-    /// Emit one record from the coordinator's current view, without forcing
-    /// a barrier: worker metrics are as of the last sync. The internal
-    /// interval and barrier emission points go through here — the hot path
-    /// must not pay a quiesce per record.
-    fn emit_record(&mut self, source: &str) -> Result<bool> {
-        let Some(o) = self.obs.as_deref() else {
-            return Ok(false);
-        };
-        let Some(t) = self.telemetry.as_deref_mut() else {
-            return Ok(false);
-        };
-        let snap = o.obs.snapshot();
-        t.sink.emit(self.processed as u64, source, &snap)?;
-        t.last_at = Some(self.processed as u64);
-        Ok(true)
+        self.core.emit_telemetry(source)
     }
 
     /// Quiesce all shards at the current stream position and capture one
@@ -922,7 +795,7 @@ impl ShardedEngine {
         for shard in 0..self.num_shards {
             self.send_to(shard, ToShard::CaptureStates)?;
         }
-        let mut states: Vec<(u32, Vec<u8>)> = Vec::with_capacity(self.num_vertices);
+        let mut states: Vec<(u32, Vec<u8>)> = Vec::with_capacity(self.core.num_vertices);
         for _ in 0..self.num_shards {
             match self.recv()? {
                 FromShard::StatesCaptured(entries) => states.extend(entries),
@@ -932,23 +805,12 @@ impl ShardedEngine {
         // Each shard reports its owned subset; merge into global vertex
         // order so the file is independent of the shard count that wrote it.
         states.sort_unstable_by_key(|(v, _)| *v);
-        debug_assert_eq!(states.len(), self.num_vertices);
-        let capture = start.elapsed();
-        self.busy_secs += capture.as_secs_f64();
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.obs.metrics.observe_duration(o.ckpt_capture_ns, capture);
-            o.obs.trace.record("checkpoint_capture", 0, start);
-        }
+        debug_assert_eq!(states.len(), self.core.num_vertices);
+        self.core.busy_secs += self.core.record_capture(start).as_secs_f64();
         Ok(Checkpoint {
-            policy: self.config.clone(),
-            num_vertices: self.num_vertices,
-            cursor: StreamCursor {
-                processed: self.processed,
-                last_time: self.last_time,
-                total_quantity: self.total_quantity,
-                newborn_quantity: self.newborn_quantity,
-                peak_footprint_bytes: self.peak_footprint,
-            },
+            policy: self.core.config.clone(),
+            num_vertices: self.core.num_vertices,
+            cursor: self.core.cursor,
             states,
         })
     }
@@ -960,13 +822,7 @@ impl ShardedEngine {
     /// Propagates capture errors and the store's [`TinError::Io`] failures.
     pub fn checkpoint_to(&mut self, store: &mut CheckpointStore) -> Result<PathBuf> {
         let checkpoint = self.checkpoint()?;
-        let path = store.save(&checkpoint)?;
-        self.checkpoints_taken += 1;
-        let stats = store.last_save_stats();
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.record_save(stats);
-        }
-        Ok(path)
+        self.core.save_to(store, &checkpoint)
     }
 
     /// Rebuild a sharded engine from a durable [`Checkpoint`], repartitioned
@@ -1012,19 +868,17 @@ impl ShardedEngine {
         // consumed (or surfaces a worker death) before the engine is handed
         // back.
         self.sync_barrier(processed, now)?;
-        self.processed = processed;
-        self.open_start = processed;
-        self.next_fold = processed;
-        self.synced_through = processed;
-        self.last_time = checkpoint.cursor.last_time;
-        self.total_quantity = checkpoint.cursor.total_quantity;
-        self.newborn_quantity = checkpoint.cursor.newborn_quantity;
-        // `max`: on a fresh engine this seeds the checkpoint's peak; during
-        // recovery the live peak (≥ the snapshot's) must survive.
-        self.peak_footprint = self
-            .peak_footprint
-            .max(checkpoint.cursor.peak_footprint_bytes);
+        self.seek(&checkpoint.cursor);
         Ok(())
+    }
+
+    /// Move the coordinator to `cursor`'s stream position with no work in
+    /// flight (see [`EngineCore::restore_cursor`] for the peak).
+    fn seek(&mut self, cursor: &StreamCursor) {
+        self.core.restore_cursor(cursor);
+        self.open_start = cursor.processed;
+        self.next_fold = cursor.processed;
+        self.synced_through = cursor.processed;
     }
 
     /// One sync round-trip to every shard: advance epoch clocks to
@@ -1052,15 +906,16 @@ impl ShardedEngine {
                 _ => unreachable!("only sync acknowledgements are outstanding"),
             }
         }
-        if let Some(o) = self.obs.as_deref_mut() {
+        let num_shards = self.num_shards;
+        if let Some((obs, ids)) = self.shard_obs() {
             deltas.sort_by_key(|(shard, _)| *shard);
             // Skew: each delta covers exactly one barrier-to-barrier window,
             // so the per-shard `shard_batch_ns` sums are directly comparable
             // busy times. Computed before the deltas are folded in, and only
             // when every shard reported (a partial window would understate
             // the laggards).
-            if deltas.len() == self.num_shards && self.num_shards > 1 {
-                let batch_ns = o.worker_ids.batch_ns;
+            if deltas.len() == num_shards && num_shards > 1 {
+                let batch_ns = ids.worker_ids.batch_ns;
                 let busy: Vec<u64> = deltas
                     .iter()
                     .map(|(_, d)| d.metrics.histogram_data(batch_ns).sum())
@@ -1068,30 +923,26 @@ impl ShardedEngine {
                 let max = busy.iter().copied().max().unwrap_or(0);
                 if max > 0 {
                     let min = busy.iter().copied().min().unwrap_or(0);
-                    o.obs.metrics.set_gauge(o.busy_spread, max - min);
+                    obs.metrics.set_gauge(ids.busy_spread, max - min);
                     let mean = busy.iter().sum::<u64>() / busy.len() as u64;
                     if let Some(ratio) = max.saturating_mul(1000).checked_div(mean) {
-                        o.obs.metrics.set_gauge(o.imbalance, ratio);
+                        obs.metrics.set_gauge(ids.imbalance, ratio);
                     }
                 }
             }
             for (_, delta) in &deltas {
-                o.obs.metrics.merge_prefix_from(&delta.metrics);
-                o.obs.trace.extend_from(&delta.events);
-                o.obs.hot_vertices.merge_from(&delta.touch);
-                o.obs.hot_migrations.merge_from(&delta.migrated);
+                obs.metrics.merge_prefix_from(&delta.metrics);
+                obs.trace.extend_from(&delta.events);
+                obs.hot_vertices.merge_from(&delta.touch);
+                obs.hot_migrations.merge_from(&delta.migrated);
             }
         }
         // A barrier with instrumentation attached is a natural telemetry
         // emission point (the merged registry was just brought current) —
         // but only while the stream is advancing: the quiesce syncs issued
         // by post-run queries would otherwise re-emit the same position.
-        let advanced = self
-            .telemetry
-            .as_deref()
-            .is_some_and(|t| t.last_at != Some(self.processed as u64));
-        if !deltas.is_empty() && advanced {
-            self.emit_record("barrier")?;
+        if !deltas.is_empty() && self.core.telemetry_behind() {
+            self.core.emit_telemetry("barrier")?;
         }
         Ok(())
     }
@@ -1103,7 +954,7 @@ impl ShardedEngine {
 
     /// The stable key of the policy this engine runs.
     pub fn policy_key(&self) -> &str {
-        &self.policy_key
+        &self.core.policy_key
     }
 
     /// Test hook: make worker `shard` panic on its next message, exercising
@@ -1127,29 +978,27 @@ impl ShardedEngine {
     /// self-loop, unknown vertex, or time going backwards — plus
     /// [`TinError::WorkerLost`] if a shard worker died.
     pub fn process(&mut self, r: &Interaction) -> Result<()> {
-        validate_stream_step(r, self.processed, self.num_vertices, self.last_time)?;
+        self.core.validate(r)?;
         // The interaction enters the replay buffer *before* it is applied,
         // so a successful heal may already have re-applied it — the stream
         // position tells the two cases apart.
-        let target = self.processed + 1;
+        let target = self.core.cursor.processed + 1;
         loop {
             match self.process_attempt(r) {
                 Ok(()) => break,
                 Err(e @ TinError::WorkerLost { .. }) if self.recovery.is_some() => {
                     self.heal_within_budget(e)?;
-                    if self.processed >= target {
+                    if self.core.cursor.processed >= target {
                         break;
                     }
                 }
                 Err(e) => return Err(e),
             }
         }
-        if let Some(t) = self.telemetry.as_deref() {
-            // Worker metrics in this record are as of the last barrier —
-            // the coordinator does not force a quiesce just to emit.
-            if self.processed.is_multiple_of(t.every) {
-                self.emit_record("interval")?;
-            }
+        // Worker metrics in this record are as of the last barrier — the
+        // coordinator does not force a quiesce just to emit.
+        if self.core.telemetry_due() {
+            self.core.emit_telemetry("interval")?;
         }
         Ok(())
     }
@@ -1167,22 +1016,13 @@ impl ShardedEngine {
             self.replay_buffer.push_back(*r);
         }
         self.apply_interaction(r)?;
-        if let Some((_, every)) = &self.durable {
-            let every = *every;
-            if self.processed.is_multiple_of(every) {
-                let checkpoint = self.checkpoint_attempt()?;
-                let (store, _) = self.durable.as_mut().expect("durable checked above");
-                store.save(&checkpoint)?;
-                let stats = store.last_save_stats();
-                self.checkpoints_taken += 1;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.record_save(stats);
-                }
-                // The restore point must never lag the newest durable file:
-                // an older in-memory snapshot would need replay-buffer
-                // entries this save just made safe to drop.
-                self.adopt_snapshot(checkpoint);
-            }
+        if self.core.durable_due() {
+            let checkpoint = self.checkpoint_attempt()?;
+            self.core.save_durable(&checkpoint)?;
+            // The restore point must never lag the newest durable file: an
+            // older in-memory snapshot would need replay-buffer entries this
+            // save just made safe to drop.
+            self.adopt_snapshot(checkpoint);
         }
         Ok(())
     }
@@ -1193,19 +1033,18 @@ impl ShardedEngine {
     /// [`Self::process_attempt`]).
     fn apply_interaction(&mut self, r: &Interaction) -> Result<()> {
         let start = Instant::now();
-        self.total_quantity += r.qty;
-        if !self.scheduler.offer(r, self.processed) {
+        let position = self.core.cursor.processed;
+        if !self.scheduler.offer(r, position) {
             self.dispatch_open_batch()?;
-            let joined = self.scheduler.offer(r, self.processed);
+            let joined = self.scheduler.offer(r, position);
             debug_assert!(joined, "a fresh wavefront always accepts");
         }
         if self.open_batch.is_empty() {
-            self.open_start = self.processed;
+            self.open_start = position;
         }
         self.open_batch.push(*r);
-        self.last_time = Some(r.time.0);
-        self.processed += 1;
-        self.busy_secs += start.elapsed().as_secs_f64();
+        self.core.advance(r);
+        self.core.busy_secs += start.elapsed().as_secs_f64();
         Ok(())
     }
 
@@ -1284,7 +1123,7 @@ impl ShardedEngine {
         for shard in 0..self.num_shards {
             self.send_to(shard, ToShard::QueryBufferedAll)?;
         }
-        let mut out = vec![0.0; self.num_vertices];
+        let mut out = vec![0.0; self.core.num_vertices];
         for _ in 0..self.num_shards {
             match self.recv()? {
                 FromShard::BufferedAll(entries) => {
@@ -1332,23 +1171,9 @@ impl ShardedEngine {
         // All shards are quiesced at the same stream position, so the sum of
         // these simultaneous samples IS the current global footprint; fold
         // it into the running peak.
-        let current: usize = self.latest_footprint.iter().sum();
-        self.peak_footprint = self.peak_footprint.max(current);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.obs.metrics.set_gauge(o.footprint_bytes, current as u64);
-        }
-        self.busy_secs += start.elapsed().as_secs_f64();
-        Ok(EngineReport {
-            policy: self.policy_key.clone(),
-            interactions: self.processed,
-            runtime_secs: self.busy_secs,
-            total_quantity: self.total_quantity,
-            newborn_quantity: self.newborn_quantity,
-            relayed_quantity: self.total_quantity - self.newborn_quantity,
-            peak_footprint_bytes: self.peak_footprint,
-            footprint,
-            checkpoints_taken: self.checkpoints_taken,
-        })
+        self.core.sample_footprint(footprint.total(), false);
+        self.core.busy_secs += start.elapsed().as_secs_f64();
+        Ok(self.core.report(footprint))
     }
 
     /// Dispatch the open wavefront (if any) and block until every shard has
@@ -1356,7 +1181,8 @@ impl ShardedEngine {
     /// stream position.
     fn quiesce(&mut self) -> Result<()> {
         self.check_poisoned()?;
-        if self.synced_through == self.processed {
+        let processed = self.core.cursor.processed;
+        if self.synced_through == processed {
             debug_assert!(self.open_batch.is_empty() && self.in_flight.is_empty());
             return Ok(());
         }
@@ -1364,26 +1190,16 @@ impl ShardedEngine {
         if !self.open_batch.is_empty() {
             self.dispatch_open_batch()?;
         }
-        while self.next_fold < self.processed {
+        while self.next_fold < processed {
             self.handle_completion()?;
         }
-        let now = self.last_time.unwrap_or(0.0);
-        for shard in 0..self.num_shards {
-            self.send_to(
-                shard,
-                ToShard::Sync {
-                    processed: self.processed,
-                    now,
-                },
-            )?;
-        }
-        self.collect_sync_acks()?;
-        self.synced_through = self.processed;
+        self.sync_barrier(processed, self.core.cursor.last_time.unwrap_or(0.0))?;
+        self.synced_through = processed;
         let elapsed = start.elapsed();
-        self.busy_secs += elapsed.as_secs_f64();
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.obs.metrics.observe_duration(o.barrier_ns, elapsed);
-            o.obs.trace.record("quiesce", 0, start);
+        self.core.busy_secs += elapsed.as_secs_f64();
+        if let Some((obs, ids)) = self.shard_obs() {
+            obs.metrics.observe_duration(ids.barrier_ns, elapsed);
+            obs.trace.record("quiesce", 0, start);
         }
         Ok(())
     }
@@ -1397,10 +1213,10 @@ impl ShardedEngine {
             return Ok(());
         }
         let start_time = self.open_batch[0].time.value();
-        let dispatch_started = self.obs.is_some().then(Instant::now);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.obs.metrics.observe(o.wavefront_size, len as u64);
-            o.obs.metrics.inc(o.wavefronts);
+        let dispatch_started = self.core.obs.is_some().then(Instant::now);
+        if let Some((obs, ids)) = self.shard_obs() {
+            obs.metrics.observe(ids.wavefront_size, len as u64);
+            obs.metrics.inc(ids.wavefronts);
         }
 
         let mut cmds: Vec<BatchCmd> = (0..self.num_shards)
@@ -1443,11 +1259,10 @@ impl ShardedEngine {
                 newborn: vec![0.0; len],
             },
         );
-        if let (Some(started), Some(o)) = (dispatch_started, self.obs.as_deref_mut()) {
-            o.obs.trace.record("wavefront_dispatch", 0, started);
-            o.obs
-                .metrics
-                .set_gauge(o.inflight, self.in_flight.len() as u64);
+        let in_flight = self.in_flight.len() as u64;
+        if let (Some(started), Some((obs, ids))) = (dispatch_started, self.shard_obs()) {
+            obs.trace.record("wavefront_dispatch", 0, started);
+            obs.metrics.set_gauge(ids.inflight, in_flight);
         }
         // Backpressure: bound the number of wavefronts in flight.
         while self.in_flight.len() > MAX_IN_FLIGHT {
@@ -1494,9 +1309,9 @@ impl ShardedEngine {
         start: usize,
         shard: usize,
         newborn: Vec<(u32, f64)>,
-        footprint: Option<usize>,
+        footprint: Option<(usize, bool)>,
     ) {
-        if let Some(total) = footprint {
+        if let Some((total, spiked)) = footprint {
             // The shard took a fresh full-footprint sample after this batch:
             // fold the sum of every shard's latest sample into the global
             // peak. Samples from different shards are not perfectly
@@ -1505,11 +1320,8 @@ impl ShardedEngine {
             // which combines maxima from unrelated moments and can only
             // overestimate.
             self.latest_footprint[shard] = total;
-            let current: usize = self.latest_footprint.iter().sum();
-            self.peak_footprint = self.peak_footprint.max(current);
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.obs.metrics.set_gauge(o.footprint_bytes, current as u64);
-            }
+            self.core
+                .sample_footprint(self.latest_footprint.iter().sum(), spiked);
         }
         let batch = self
             .in_flight
@@ -1529,7 +1341,7 @@ impl ShardedEngine {
             let (start, batch) = entry.remove_entry();
             debug_assert_eq!(start, self.next_fold);
             for q in &batch.newborn {
-                self.newborn_quantity += *q;
+                self.core.cursor.newborn_quantity += *q;
             }
             self.next_fold = start + batch.len;
         }
@@ -1576,9 +1388,10 @@ impl ShardedEngine {
                 std::thread::sleep(policy.restart_backoff.saturating_mul(1u32 << exp));
             }
             self.restarts_used += 1;
-            self.recovery_stats.workers_respawned += self.num_shards;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.obs.metrics.add(o.respawns, self.num_shards as u64);
+            let num_shards = self.num_shards;
+            self.recovery_stats.workers_respawned += num_shards;
+            if let Some((obs, ids)) = self.shard_obs() {
+                obs.metrics.add(ids.respawns, num_shards as u64);
             }
             match self.heal_attempt() {
                 Ok(replayed) => {
@@ -1587,11 +1400,11 @@ impl ShardedEngine {
                     self.recovery_stats.replayed_interactions += replayed;
                     self.recovery_stats.last_rto_secs = elapsed.as_secs_f64();
                     self.recovery_stats.total_recovery_secs += elapsed.as_secs_f64();
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.obs.metrics.inc(o.recoveries);
-                        o.obs.metrics.add(o.replayed, replayed as u64);
-                        o.obs.metrics.observe_duration(o.recovery_ns, elapsed);
-                        o.obs.trace.record("recovery", 0, start);
+                    if let Some((obs, ids)) = self.shard_obs() {
+                        obs.metrics.inc(ids.recoveries);
+                        obs.metrics.add(ids.replayed, replayed as u64);
+                        obs.metrics.observe_duration(ids.recovery_ns, elapsed);
+                        obs.trace.record("recovery", 0, start);
                     }
                     return Ok(());
                 }
@@ -1623,7 +1436,7 @@ impl ShardedEngine {
         // points at a dropped receiver, so its stragglers (including the
         // second `WorkerFailed` of a double kill) can never reach us.
         let (to_shards, from_shards, handles) =
-            spawn_pool(&self.config, self.num_vertices, self.num_shards);
+            spawn_pool(&self.core.config, self.core.num_vertices, self.num_shards);
         self.to_shards = to_shards;
         self.from_shards = from_shards;
         self.handles = handles;
@@ -1631,8 +1444,10 @@ impl ShardedEngine {
         // lost (their interactions sit in the replay buffer), the open
         // batch is re-cut by the replay, footprint samples restart.
         self.poisoned = None;
-        self.scheduler =
-            WavefrontScheduler::new(self.num_vertices, EpochRule::for_policy(&self.config));
+        self.scheduler = WavefrontScheduler::new(
+            self.core.num_vertices,
+            EpochRule::for_policy(&self.core.config),
+        );
         self.open_batch.clear();
         self.in_flight.clear();
         self.latest_footprint = vec![0; self.num_shards];
@@ -1642,7 +1457,7 @@ impl ShardedEngine {
                 self.send_to(shard, ToShard::SetSampleInterval(every))?;
             }
         }
-        if let Some(epoch) = self.obs.as_deref().map(|o| o.obs.trace.epoch()) {
+        if let Some(epoch) = self.core.obs().map(|o| o.trace.epoch()) {
             for shard in 0..self.num_shards {
                 self.send_to(shard, ToShard::EnableObs { epoch })?;
             }
@@ -1662,13 +1477,7 @@ impl ShardedEngine {
                 // one, so this is defensive): the replay buffer covers the
                 // whole prefix — rewind the stream counters to zero and let
                 // the replay rebuild everything on the fresh trackers.
-                self.processed = 0;
-                self.open_start = 0;
-                self.next_fold = 0;
-                self.synced_through = 0;
-                self.last_time = None;
-                self.total_quantity = 0.0;
-                self.newborn_quantity = 0.0;
+                self.seek(&StreamCursor::default());
             }
         }
         // Deterministic replay through the normal scheduling path, in
@@ -1704,7 +1513,7 @@ impl ShardedEngine {
         if self.recovery.is_none() {
             return;
         }
-        debug_assert_eq!(snapshot.cursor.processed, self.processed);
+        debug_assert_eq!(snapshot.cursor.processed, self.core.cursor.processed);
         self.replay_buffer.clear();
         self.recovery_snapshot = Some(snapshot);
     }
@@ -1779,10 +1588,10 @@ impl Drop for ShardedEngine {
 impl std::fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
-            .field("policy", &self.policy_key)
-            .field("num_vertices", &self.num_vertices)
+            .field("policy", &self.core.policy_key)
+            .field("num_vertices", &self.core.num_vertices)
             .field("num_shards", &self.num_shards)
-            .field("processed", &self.processed)
+            .field("processed", &self.core.cursor.processed)
             .field("poisoned", &self.poisoned.is_some())
             .finish()
     }
@@ -1851,7 +1660,7 @@ fn shard_worker(
     // shard-local peak accounting catches spikes between samples and — just
     // as importantly — the sequential-vs-sharded scaling benchmark compares
     // two equally instrumented trackers.
-    tracker.arm_spike_monitor(tin_core::engine::ProvenanceEngine::SPIKE_FRACTION);
+    tracker.arm_spike_monitor(ProvenanceEngine::SPIKE_FRACTION);
     // Exported states that arrived before the batch that consumes them
     // (peers may run several wavefronts ahead). Per-vertex FIFO keeps
     // multiple in-flight generations of the same vertex ordered.
@@ -1861,7 +1670,7 @@ fn shard_worker(
     // arrival order before reading the channel again.
     let mut backlog: VecDeque<ToShard> = VecDeque::new();
     let mut processed_local = 0usize;
-    let mut sample_interval = SHARD_SAMPLE_INTERVAL;
+    let mut sample_interval = ProvenanceEngine::FOOTPRINT_SAMPLE_INTERVAL;
     let mut next_sample = sample_interval;
     // Private observability state, created on `EnableObs`: the worker
     // accumulates locally (no cross-thread synchronisation on the batch
@@ -2017,7 +1826,7 @@ fn shard_worker(
                 let mut sample = None;
                 if spiked || processed_local >= next_sample {
                     next_sample = processed_local + sample_interval;
-                    sample = Some(tracker.footprint().total());
+                    sample = Some((tracker.footprint().total(), spiked));
                     if !spiked {
                         tracker.note_footprint_sampled();
                     }
@@ -2029,9 +1838,6 @@ fn shard_worker(
                     // the borrowed state home after processing.
                     o.metrics
                         .add(o.ids.migrations, (n_exports + n_imports) as u64);
-                    if spiked {
-                        o.metrics.inc(o.ids.spikes);
-                    }
                     o.metrics
                         .observe_duration(o.ids.batch_ns, started.elapsed());
                     o.metrics

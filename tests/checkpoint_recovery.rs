@@ -351,7 +351,8 @@ fn retention_bounds_the_store_during_a_run() {
 
 /// The sharded engine's periodic durable checkpoints: counted in the report
 /// (regression test for the hardcoded `checkpoints_taken: 0`) and usable for
-/// recovery into a different shard count.
+/// recovery into a different shard count. `checkpoints_taken` counts durable
+/// saves, periodic and on-demand, the same way on both engines.
 #[test]
 fn sharded_periodic_checkpoints_are_counted_and_recoverable() {
     let dir = unique_dir("sharded_periodic");
@@ -369,7 +370,28 @@ fn sharded_periodic_checkpoints_are_counted_and_recoverable() {
     engine.process_all(&stream[..13]).unwrap();
     let report = engine.report().unwrap();
     assert_eq!(report.checkpoints_taken, 2, "checkpoints at 5 and 10");
+    let on_demand_dir = unique_dir("sharded_on_demand");
+    let mut on_demand = CheckpointStore::open(&on_demand_dir).unwrap();
+    engine.checkpoint_to(&mut on_demand).unwrap();
+    assert_eq!(engine.report().unwrap().checkpoints_taken, 3);
     drop(engine);
+
+    // The sequential engine counts the same saves.
+    let sequential_dir = unique_dir("sequential_periodic");
+    let mut sequential = ProvenanceEngine::new(&config, n)
+        .unwrap()
+        .with_durable_checkpoints(CheckpointStore::open(&sequential_dir).unwrap(), 5)
+        .unwrap();
+    sequential.process_all(&stream[..13]).unwrap();
+    assert_eq!(
+        sequential.report().checkpoints_taken,
+        2,
+        "checkpoints at 5 and 10"
+    );
+    sequential.checkpoint_to(&mut on_demand).unwrap();
+    assert_eq!(sequential.report().checkpoints_taken, 3);
+    std::fs::remove_dir_all(&sequential_dir).unwrap();
+    std::fs::remove_dir_all(&on_demand_dir).unwrap();
 
     let store = CheckpointStore::open(&dir).unwrap();
     let (_, checkpoint) = store.load_latest_valid().unwrap().unwrap();

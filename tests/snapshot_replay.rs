@@ -1,10 +1,9 @@
 //! Integration tests for the operational layer: the streaming engine,
-//! checkpointed snapshots, and the lazy / backtracing on-demand trackers.
+//! provenance snapshots, and the lazy / backtracing on-demand trackers.
 //! These all provide alternative routes to the same provenance answers, so
 //! the tests check them against each other and against the eager trackers.
 
 use tin::core::engine::{run_ensemble, ProvenanceEngine};
-use tin::core::snapshot::CheckpointedProvenance;
 use tin::prelude::*;
 
 fn workload() -> (usize, Vec<Interaction>) {
@@ -64,21 +63,23 @@ fn ensemble_reports_identical_flow_accounting() {
     }
 }
 
-/// An engine checkpoint taken after k interactions equals a fresh tracker fed
+/// A snapshot captured after k interactions equals a fresh tracker fed
 /// exactly those k interactions.
 #[test]
-fn engine_checkpoints_match_prefix_replay() {
+fn snapshots_match_prefix_replay() {
     let (n, stream) = workload();
     let interval = stream.len() / 4;
     let config = PolicyConfig::Plain(SelectionPolicy::Fifo);
-    let mut engine = ProvenanceEngine::new(&config, n)
-        .unwrap()
-        .with_checkpoints(interval)
-        .unwrap();
-    engine.process_all(&stream).unwrap();
-    assert!(!engine.checkpoints().is_empty());
+    let mut tracker = build_tracker(&config, n).unwrap();
+    let mut snapshots = Vec::new();
+    for chunk in stream.chunks(interval) {
+        tracker.process_all(chunk);
+        let time = chunk.last().unwrap().time.value();
+        snapshots.push(ProvenanceSnapshot::capture(tracker.as_ref(), time));
+    }
+    assert!(snapshots.len() >= 4);
 
-    for snapshot in engine.checkpoints() {
+    for snapshot in &snapshots {
         let k = snapshot.interactions_processed;
         let mut prefix = build_tracker(&config, n).unwrap();
         prefix.process_all(&stream[..k]);
@@ -92,25 +93,16 @@ fn engine_checkpoints_match_prefix_replay() {
     }
 }
 
-/// The CheckpointedProvenance wrapper behaves identically to the tracker it
-/// wraps, and its snapshots round-trip through the TSV persistence format.
+/// A snapshot round-trips through the TSV persistence format.
 #[test]
-fn checkpointed_wrapper_and_tsv_roundtrip() {
+fn snapshot_tsv_roundtrip() {
     let (n, stream) = workload();
     let config = PolicyConfig::Plain(SelectionPolicy::ProportionalSparse);
-    let mut plain = build_tracker(&config, n).unwrap();
-    plain.process_all(&stream);
+    let mut tracker = build_tracker(&config, n).unwrap();
+    tracker.process_all(&stream);
+    let last = &ProvenanceSnapshot::capture(tracker.as_ref(), stream.last().unwrap().time.value());
+    assert_eq!(last.interactions_processed, stream.len());
 
-    let inner = build_tracker(&config, n).unwrap();
-    let mut wrapped = CheckpointedProvenance::new(inner, stream.len() / 3).unwrap();
-    wrapped.process_all(&stream);
-    for i in 0..n {
-        let v = VertexId::from(i);
-        assert!(wrapped.origins(v).approx_eq(&plain.origins(v)));
-    }
-    assert!(wrapped.checkpoints().len() >= 2);
-
-    let last = wrapped.checkpoints().last().unwrap();
     let mut buf = Vec::new();
     last.write_tsv(&mut buf).unwrap();
     let parsed = ProvenanceSnapshot::read_tsv(buf.as_slice()).unwrap();

@@ -230,3 +230,73 @@ fn sharded_stream_reconciles_and_matches_the_sequential_run() {
         sequential_report.relayed_quantity
     );
 }
+
+/// `(kind, unit)` of every metric in a snapshot, by name.
+fn metric_catalogue(
+    snap: &tin_obs::MetricsSnapshot,
+) -> std::collections::BTreeMap<&'static str, (&'static str, &'static str)> {
+    let counters = snap.counters.iter().map(|c| (c.name, ("counter", c.unit)));
+    let gauges = snap.gauges.iter().map(|g| (g.name, ("gauge", g.unit)));
+    let histograms = snap
+        .histograms
+        .iter()
+        .map(|h| (h.name, ("histogram", h.unit)));
+    counters.chain(gauges).chain(histograms).collect()
+}
+
+/// A metric name means one thing on both engines: with observability,
+/// durable checkpoints and telemetry attached to a sequential and a 2-shard
+/// engine over the same stream, every name the two snapshots share has the
+/// same kind and the same unit.
+#[test]
+fn shared_metric_names_have_one_kind_and_unit_on_both_engines() {
+    let interactions = workload(8, 24);
+    let config = PolicyConfig::Plain(SelectionPolicy::ProportionalSparse);
+    let dir = std::env::temp_dir().join(format!("tin_metric_units_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = |name: &str| CheckpointStore::open(dir.join(name)).expect("store opens");
+
+    let mut sequential = ProvenanceEngine::new(&config, 8)
+        .expect("valid config")
+        .with_observability(Obs::new())
+        .with_durable_checkpoints(store("seq"), 40)
+        .expect("interval is positive")
+        .with_telemetry(Telemetry::new(Box::new(std::io::sink())), 16)
+        .expect("interval is positive");
+    sequential.process_all(&interactions).expect("valid stream");
+    let mut sharded = ShardedEngine::new(&config, 8, 2)
+        .expect("valid config")
+        .with_observability(Obs::new())
+        .expect("workers healthy")
+        .with_durable_checkpoints(store("sharded"), 40)
+        .expect("interval is positive")
+        .with_telemetry(Telemetry::new(Box::new(std::io::sink())), 16)
+        .expect("interval is positive");
+    sharded.process_all(&interactions).expect("valid stream");
+
+    let seq = metric_catalogue(&sequential.take_obs().expect("attached").snapshot());
+    let shard = metric_catalogue(
+        &sharded
+            .take_obs()
+            .expect("workers healthy")
+            .expect("attached")
+            .snapshot(),
+    );
+    let shared: Vec<&str> = seq
+        .keys()
+        .filter(|n| shard.contains_key(*n))
+        .copied()
+        .collect();
+    // The checkpoint and footprint metrics are registered by both engines.
+    for name in [
+        "footprint_spikes_total",
+        "checkpoint_retries_total",
+        "checkpoint_capture_ns",
+    ] {
+        assert!(shared.contains(&name), "{name} missing from one engine");
+    }
+    for name in shared {
+        assert_eq!(seq[name], shard[name], "{name}: (kind, unit) differ");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
