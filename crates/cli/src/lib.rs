@@ -840,7 +840,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             // Recovery: locate the newest valid checkpoint before building
             // any engine, and refuse checkpoints that disagree with the
             // requested run (wrong policy or a different trace).
-            let resumed = if *resume {
+            let mut resumed = if *resume {
                 let dir = checkpoint_dir.as_deref().ok_or_else(|| {
                     CliError::Usage("run: --resume requires --checkpoint-dir DIR".into())
                 })?;
@@ -946,9 +946,11 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                         "run: worker chaos events need --shards >= 2".into(),
                     ));
                 }
-                let mut engine = match &resumed {
+                // `take` frees the loaded checkpoint once it is installed;
+                // only `skip` outlives it.
+                let mut engine = match resumed.take() {
                     Some(checkpoint) => {
-                        tin_core::engine::ProvenanceEngine::resume_from(checkpoint)?
+                        tin_core::engine::ProvenanceEngine::resume_from(&checkpoint)?
                     }
                     None => tin_core::engine::ProvenanceEngine::new(&config, n)?,
                 };
@@ -990,8 +992,10 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                     .map(|plan| plan.driver(*shards, *chaos_seed))
                     .transpose()
                     .map_err(|e| CliError::Usage(format!("run: {e}")))?;
-                let mut engine = match &resumed {
-                    Some(checkpoint) => tin_shard::ShardedEngine::resume_from(checkpoint, *shards)?,
+                let mut engine = match resumed.take() {
+                    Some(checkpoint) => {
+                        tin_shard::ShardedEngine::resume_from(&checkpoint, *shards)?
+                    }
                     None => tin_shard::ShardedEngine::new(&config, n, *shards)?,
                 };
                 // Sharded runs self-heal by default: worker deaths trigger

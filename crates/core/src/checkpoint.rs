@@ -9,13 +9,13 @@
 //! from one that never stopped: every float compares equal with `==`, not
 //! merely approximately.
 //!
-//! ## File format (schema version 1)
+//! ## File format (schema version 2)
 //!
 //! ```text
 //! [ magic "TINCKPT\0" : 8 bytes ][ schema version : u32 LE ]
-//! [ policy  section: len u32 | crc32 u32 | body ]
-//! [ cursor  section: len u32 | crc32 u32 | body ]
-//! [ states  section: len u32 | crc32 u32 | body ]
+//! [ policy  section: len u64 | body | crc32 u32 ]
+//! [ cursor  section: len u64 | body | crc32 u32 ]
+//! [ states  section: len u64 | body | crc32 u32 ]
 //! ```
 //!
 //! * **policy** — the [`PolicyConfig`] binary encoding plus the vertex count,
@@ -23,16 +23,27 @@
 //!   refuse mismatched files.
 //! * **cursor** — the [`StreamCursor`]: stream position, last timestamp and
 //!   the flow-accounting counters needed to seed an [`crate::engine`] report.
-//! * **states** — one length-prefixed payload per vertex, in strictly
-//!   increasing vertex order. Payloads are produced by
+//! * **states** — a `u64` vertex count, then one `vertex u32 | len u64 |
+//!   payload` record per vertex, in strictly increasing vertex order.
+//!   Payloads are produced by
 //!   [`crate::tracker::ProvenanceTracker::encode_vertex_state`] and are
 //!   **shard-count independent**: a checkpoint captured by a 4-shard run
 //!   restores into a sequential engine or a 2-shard engine unchanged.
 //!
-//! Every section carries its own CRC32; any mismatch, truncation or malformed
-//! value surfaces as [`TinError::CorruptCheckpoint`] naming the section, and
-//! recovery falls back to the previous retained checkpoint instead of
-//! installing partial state.
+//! Each section's CRC32 covers its length field and its body, and follows
+//! the body, so a writer knows every length up front (the states body is
+//! 8 + Σ(12 + payload) bytes) and streams the file in one pass; nothing is
+//! encoded into an intermediate buffer. The reader streams too: it checks
+//! every declared length against what remains of its section, and each
+//! section against what remains of the file, before allocating, and reads
+//! each payload straight into its own vector. Any mismatch, truncation or
+//! malformed value surfaces as [`TinError::CorruptCheckpoint`] naming the
+//! section, and recovery falls back to the previous retained checkpoint
+//! instead of installing partial state.
+//!
+//! Schema 1 files (`len u32 | crc32 u32 | body`: a 32-bit length and a
+//! leading CRC over the body alone) are still read, by the same reader;
+//! they are never written.
 //!
 //! ## Durability protocol
 //!
@@ -41,15 +52,16 @@
 //! name (followed by a directory fsync so the rename itself is durable). A
 //! crash at any instant leaves either the previous checkpoint or the new one,
 //! never a hybrid. [`CheckpointStore::save`] adds bounded
-//! retry-with-exponential-backoff for transient I/O failures and prunes old
-//! files by count and age after each successful save.
+//! retry-with-exponential-backoff for transient I/O failures — each attempt
+//! streams the in-memory [`Checkpoint`] again — and prunes old files by count
+//! and age after each successful save.
 
 use std::fs;
-use std::io::Write;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::codec::{self, ByteReader};
+use crate::codec::{self, ByteReader, Crc32};
 use crate::error::{Result, TinError};
 use crate::ids::VertexId;
 use crate::policy::PolicyConfig;
@@ -59,8 +71,23 @@ use crate::tracker::ProvenanceTracker;
 /// Leading magic bytes of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"TINCKPT\0";
 
-/// The on-disk schema version this build reads and writes.
-pub const SCHEMA_VERSION: u32 = 1;
+/// The on-disk schema version this build writes. It also reads schema 1.
+pub const SCHEMA_VERSION: u32 = 2;
+
+/// The first schema: 32-bit section lengths and a CRC ahead of each body.
+const SCHEMA_V1: u32 = 1;
+
+/// Magic plus schema version.
+const HEADER_BYTES: u64 = 12;
+
+/// A schema 2 section's framing: its `u64` length and trailing CRC.
+const SECTION_FRAMING_BYTES: u64 = 12;
+
+/// A states record's framing: its `u32` vertex id and `u64` payload length.
+const RECORD_FRAMING_BYTES: u64 = 12;
+
+/// Buffer size of the file writer and reader.
+const IO_BUFFER_BYTES: usize = 256 * 1024;
 
 /// File-name extension of checkpoint files inside a [`CheckpointStore`].
 pub const FILE_EXTENSION: &str = "tin";
@@ -184,28 +211,23 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Serialise to the versioned, checksummed on-disk byte format.
+    /// Stream the versioned, checksummed file format into `out` in one
+    /// pass, without an intermediate copy. Returns the number of bytes
+    /// written.
+    ///
+    /// # Errors
+    /// Propagates `out`'s write errors.
+    pub fn write_to(&self, out: &mut impl Write) -> io::Result<u64> {
+        self.write_framed(&self.frame(), out)
+    }
+
+    /// Serialise to the on-disk byte format in memory (see
+    /// [`Self::write_to`]), into a buffer sized to the exact file length.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        codec::put_u32(&mut out, SCHEMA_VERSION);
-
-        let mut body = Vec::new();
-        self.policy.encode_into(&mut body);
-        codec::put_usize(&mut body, self.num_vertices);
-        append_section(&mut out, &body);
-
-        body.clear();
-        self.cursor.encode_into(&mut body);
-        append_section(&mut out, &body);
-
-        body.clear();
-        codec::put_usize(&mut body, self.states.len());
-        for (v, bytes) in &self.states {
-            codec::put_u32(&mut body, *v);
-            codec::put_bytes(&mut body, bytes);
-        }
-        append_section(&mut out, &body);
+        let frame = self.frame();
+        let mut out = Vec::with_capacity(usize::try_from(frame.file_len()).unwrap_or(0));
+        self.write_framed(&frame, &mut out)
+            .expect("writing into a Vec cannot fail");
         out
     }
 
@@ -217,63 +239,229 @@ impl Checkpoint {
     ///   truncation, trailing garbage, or any malformed value,
     /// * [`TinError::CheckpointVersionMismatch`] for foreign schema versions.
     pub fn decode(bytes: &[u8], path: &str) -> Result<Checkpoint> {
-        Self::decode_inner(bytes).map_err(|e| patch_path(e, path))
+        FileReader::read_checkpoint(bytes, bytes.len() as u64).map_err(|e| patch_path(e, path))
     }
 
-    fn decode_inner(bytes: &[u8]) -> Result<Checkpoint> {
-        let corrupt_header = |reason: &str| TinError::CorruptCheckpoint {
-            path: String::new(),
-            section: "header".into(),
-            reason: reason.into(),
+    /// Write this checkpoint to `path` with the atomic durability protocol:
+    /// temp file → streamed write → fsync → rename → directory fsync. A
+    /// crash at any point leaves either the old file or the complete new one.
+    ///
+    /// # Errors
+    /// Propagates the underlying I/O failures as [`TinError::Io`].
+    pub fn write_atomic(&self, path: &Path) -> Result<()> {
+        self.write_atomic_framed(&self.frame(), path)
+    }
+
+    /// Read and validate a checkpoint file, streaming it from disk.
+    ///
+    /// # Errors
+    /// I/O failures surface as [`TinError::Io`]; validation failures as
+    /// [`TinError::CorruptCheckpoint`] / [`TinError::CheckpointVersionMismatch`]
+    /// carrying the file path.
+    pub fn read(path: &Path) -> Result<Checkpoint> {
+        let file = fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        FileReader::read_checkpoint(BufReader::with_capacity(IO_BUFFER_BYTES, file), len)
+            .map_err(|e| patch_path(e, &path.display().to_string()))
+    }
+
+    /// Everything known before the first byte is written: the two small
+    /// section bodies and the states section's length.
+    fn frame(&self) -> Frame {
+        let mut policy = Vec::new();
+        self.policy.encode_into(&mut policy);
+        codec::put_usize(&mut policy, self.num_vertices);
+        let mut cursor = Vec::new();
+        self.cursor.encode_into(&mut cursor);
+        let states_len = self.states.iter().fold(8, |len, (_, bytes)| {
+            len + RECORD_FRAMING_BYTES + bytes.len() as u64
+        });
+        Frame {
+            policy,
+            cursor,
+            states_len,
+        }
+    }
+
+    /// Stream the file described by `frame` into `out`.
+    fn write_framed(&self, frame: &Frame, out: &mut impl Write) -> io::Result<u64> {
+        let mut w = CrcSink {
+            out,
+            crc: Crc32::new(),
+            written: 0,
         };
-        if bytes.len() < MAGIC.len() + 4 {
-            return Err(corrupt_header("file shorter than the header"));
+        w.put(&MAGIC)?;
+        w.put(&SCHEMA_VERSION.to_le_bytes())?;
+        for body in [&frame.policy, &frame.cursor] {
+            w.begin_section(body.len() as u64)?;
+            w.put(body)?;
+            w.end_section()?;
         }
-        if bytes[..MAGIC.len()] != MAGIC {
-            return Err(corrupt_header("bad magic bytes"));
+        w.begin_section(frame.states_len)?;
+        w.put(&(self.states.len() as u64).to_le_bytes())?;
+        for (v, bytes) in &self.states {
+            let mut record = [0u8; RECORD_FRAMING_BYTES as usize];
+            record[..4].copy_from_slice(&v.to_le_bytes());
+            record[4..].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+            w.put(&record)?;
+            w.put(bytes)?;
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != SCHEMA_VERSION {
+        w.end_section()?;
+        debug_assert_eq!(w.written, frame.file_len());
+        Ok(w.written)
+    }
+
+    /// The atomic durability protocol (temp file → streamed write → fsync →
+    /// rename → directory fsync), shared by [`Self::write_atomic`] and the
+    /// store's save loop, which frames once and retries only this.
+    fn write_atomic_framed(&self, frame: &Frame, path: &Path) -> Result<()> {
+        let tmp = tmp_sibling(path);
+        let mut out = BufWriter::with_capacity(IO_BUFFER_BYTES, fs::File::create(&tmp)?);
+        self.write_framed(frame, &mut out)?;
+        let file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
+        file.sync_all()?;
+        drop(file);
+        fs::rename(&tmp, path)?;
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            fs::File::open(dir)?.sync_all()?;
+        }
+        Ok(())
+    }
+}
+
+/// The framing of one checkpoint file, computed before it is streamed.
+struct Frame {
+    policy: Vec<u8>,
+    cursor: Vec<u8>,
+    states_len: u64,
+}
+
+impl Frame {
+    /// Length of the whole file.
+    fn file_len(&self) -> u64 {
+        HEADER_BYTES
+            + 3 * SECTION_FRAMING_BYTES
+            + self.policy.len() as u64
+            + self.cursor.len() as u64
+            + self.states_len
+    }
+}
+
+/// The writer's only way to the output: forwards bytes to `out` and folds
+/// them into the running CRC of the open section.
+struct CrcSink<'a, W> {
+    out: &'a mut W,
+    crc: Crc32,
+    written: u64,
+}
+
+impl<W: Write> CrcSink<'_, W> {
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.crc.update(bytes);
+        self.written += bytes.len() as u64;
+        // tin-lint: allow(checkpoint-durability): streams into the caller's writer; `write_atomic` (and the store's save, through `write_atomic_framed`) fsyncs the temp file before renaming it into place
+        self.out.write_all(bytes)
+    }
+
+    /// Start a section whose body is `len` bytes; its CRC covers `len`.
+    fn begin_section(&mut self, len: u64) -> io::Result<()> {
+        self.crc = Crc32::new();
+        self.put(&len.to_le_bytes())
+    }
+
+    /// Close the open section with its CRC.
+    fn end_section(&mut self) -> io::Result<()> {
+        let crc = self.crc.finish();
+        self.put(&crc.to_le_bytes())
+    }
+}
+
+/// Streaming checkpoint reader over any [`Read`]: every byte passes through
+/// the running section CRC, and every declared length is checked against
+/// what remains of its section and of the file before anything is
+/// allocated. Reads schema 1 and schema 2, which differ only in the width
+/// of a section length and the position (and coverage) of its CRC.
+struct FileReader<R> {
+    inner: R,
+    version: u32,
+    section: &'static str,
+    /// Bytes of the file not yet read.
+    file_left: u64,
+    /// Bytes of the open section's body not yet read.
+    section_left: u64,
+    crc: Crc32,
+    /// A schema 1 section's CRC, read ahead of its body.
+    leading_crc: Option<u32>,
+}
+
+impl<R: Read> FileReader<R> {
+    fn new(inner: R, file_len: u64) -> Self {
+        FileReader {
+            inner,
+            version: SCHEMA_VERSION,
+            section: "header",
+            file_left: file_len,
+            section_left: 0,
+            crc: Crc32::new(),
+            leading_crc: None,
+        }
+    }
+
+    /// Read and validate a whole checkpoint file of `file_len` bytes.
+    fn read_checkpoint(inner: R, file_len: u64) -> Result<Checkpoint> {
+        let mut r = FileReader::new(inner, file_len);
+        if file_len < HEADER_BYTES {
+            return Err(r.corrupt("file shorter than the header"));
+        }
+        if r.array::<8>()? != MAGIC {
+            return Err(r.corrupt("bad magic bytes"));
+        }
+        r.version = u32::from_le_bytes(r.array()?);
+        if r.version != SCHEMA_VERSION && r.version != SCHEMA_V1 {
             return Err(TinError::CheckpointVersionMismatch {
-                found: version,
+                found: r.version,
                 supported: SCHEMA_VERSION,
             });
         }
 
-        let mut offset = MAGIC.len() + 4;
-        let policy_body = read_section(bytes, &mut offset, "policy")?;
-        let cursor_body = read_section(bytes, &mut offset, "cursor")?;
-        let states_body = read_section(bytes, &mut offset, "states")?;
-        if offset != bytes.len() {
-            return Err(corrupt_header("trailing bytes after the last section"));
-        }
+        let body = r.small_section("policy")?;
+        let mut b = ByteReader::new(&body, "policy");
+        let policy = PolicyConfig::decode_from(&mut b)?;
+        let num_vertices = b.usize()?;
+        b.expect_end()?;
 
-        let mut r = ByteReader::new(policy_body, "policy");
-        let policy = PolicyConfig::decode_from(&mut r)?;
-        let num_vertices = r.usize()?;
-        r.expect_end()?;
+        let body = r.small_section("cursor")?;
+        let mut b = ByteReader::new(&body, "cursor");
+        let cursor = StreamCursor::decode_from(&mut b)?;
+        b.expect_end()?;
 
-        let mut r = ByteReader::new(cursor_body, "cursor");
-        let cursor = StreamCursor::decode_from(&mut r)?;
-        r.expect_end()?;
-
-        let mut r = ByteReader::new(states_body, "states");
-        let count = r.usize()?;
-        if count != num_vertices {
+        r.open_section("states")?;
+        let count = r.u64()?;
+        if count != num_vertices as u64 {
             return Err(r.corrupt(format!(
                 "state count {count} does not match vertex count {num_vertices}"
             )));
         }
-        let mut states = Vec::with_capacity(count);
-        for i in 0..count {
-            let v = r.u32()?;
+        if count > r.section_left / RECORD_FRAMING_BYTES {
+            return Err(r.corrupt(format!(
+                "{count} states cannot fit the {} bytes left in the section",
+                r.section_left
+            )));
+        }
+        let mut states = Vec::with_capacity(num_vertices);
+        for i in 0..num_vertices {
+            let v = u32::from_le_bytes(r.body_array()?);
             if v as usize != i {
                 return Err(r.corrupt(format!("expected vertex {i}, found {v}")));
             }
-            states.push((v, r.bytes()?.to_vec()));
+            let len = r.u64()?;
+            states.push((v, r.body_vec(len)?));
         }
-        r.expect_end()?;
-
+        r.close_section()?;
+        if r.file_left != 0 {
+            r.section = "header";
+            return Err(r.corrupt("trailing bytes after the last section"));
+        }
         Ok(Checkpoint {
             policy,
             num_vertices,
@@ -282,82 +470,130 @@ impl Checkpoint {
         })
     }
 
-    /// Write this checkpoint to `path` with the atomic durability protocol:
-    /// temp file → `write_all` → fsync → rename → directory fsync. A crash
-    /// at any point leaves either the old file or the complete new one.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O failures as [`TinError::Io`].
-    pub fn write_atomic(&self, path: &Path) -> Result<()> {
-        write_atomic_bytes(&self.encode(), path)
+    fn corrupt(&self, reason: impl Into<String>) -> TinError {
+        TinError::CorruptCheckpoint {
+            path: String::new(),
+            section: self.section.into(),
+            reason: reason.into(),
+        }
     }
 
-    /// Read and validate a checkpoint file.
-    ///
-    /// # Errors
-    /// I/O failures surface as [`TinError::Io`]; validation failures as
-    /// [`TinError::CorruptCheckpoint`] / [`TinError::CheckpointVersionMismatch`]
-    /// carrying the file path.
-    pub fn read(path: &Path) -> Result<Checkpoint> {
-        let bytes = fs::read(path)?;
-        Self::decode(&bytes, &path.display().to_string())
+    /// Fill `buf` from the file and fold it into the CRC.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<()> {
+        let n = buf.len() as u64;
+        if n > self.file_left {
+            return Err(self.corrupt(format!(
+                "truncated: needed {n} bytes, {} remain in the file",
+                self.file_left
+            )));
+        }
+        self.inner.read_exact(buf).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                self.corrupt("truncated: the file ended early")
+            } else {
+                TinError::from(e)
+            }
+        })?;
+        self.file_left -= n;
+        self.crc.update(buf);
+        Ok(())
     }
-}
 
-/// Write already-encoded checkpoint bytes to `path` with the atomic
-/// durability protocol (temp file → `write_all` → fsync → rename → directory
-/// fsync). Factored out of [`Checkpoint::write_atomic`] so the store's save
-/// loop encodes once and retries only the I/O.
-fn write_atomic_bytes(bytes: &[u8], path: &Path) -> Result<()> {
-    let tmp = tmp_sibling(path);
-    let mut file = fs::File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
-    drop(file);
-    fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        fs::File::open(dir)?.sync_all()?;
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut buf = [0u8; N];
+        self.fill(&mut buf)?;
+        Ok(buf)
     }
-    Ok(())
-}
 
-/// Append one `len | crc32 | body` section.
-fn append_section(out: &mut Vec<u8>, body: &[u8]) {
-    codec::put_u32(out, u32::try_from(body.len()).expect("section under 4 GiB"));
-    codec::put_u32(out, codec::crc32(body));
-    out.extend_from_slice(body);
-}
+    /// Fill `buf` from the open section's body.
+    fn body(&mut self, buf: &mut [u8]) -> Result<()> {
+        let n = buf.len() as u64;
+        if n > self.section_left {
+            return Err(self.corrupt(format!(
+                "truncated: needed {n} bytes, {} remain in the section",
+                self.section_left
+            )));
+        }
+        self.section_left -= n;
+        self.fill(buf)
+    }
 
-/// Read one `len | crc32 | body` section starting at `*offset`, verifying
-/// the checksum, and advance the offset past it.
-fn read_section<'a>(bytes: &'a [u8], offset: &mut usize, section: &str) -> Result<&'a [u8]> {
-    let corrupt = |reason: String| TinError::CorruptCheckpoint {
-        path: String::new(),
-        section: section.into(),
-        reason,
-    };
-    let rest = &bytes[*offset..];
-    if rest.len() < 8 {
-        return Err(corrupt("truncated section header".into()));
+    fn body_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut buf = [0u8; N];
+        self.body(&mut buf)?;
+        Ok(buf)
     }
-    let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-    let expected_crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-    let rest = &rest[8..];
-    if rest.len() < len {
-        return Err(corrupt(format!(
-            "section claims {len} bytes but only {} remain",
-            rest.len()
-        )));
+
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.body_array()?))
     }
-    let body = &rest[..len];
-    let actual_crc = codec::crc32(body);
-    if actual_crc != expected_crc {
-        return Err(corrupt(format!(
-            "crc mismatch: stored {expected_crc:#010x}, computed {actual_crc:#010x}"
-        )));
+
+    /// Read `len` declared bytes of the open section into a vector of their
+    /// own, allocated only once `len` is known to fit the section.
+    fn body_vec(&mut self, len: u64) -> Result<Vec<u8>> {
+        if len > self.section_left {
+            return Err(self.corrupt(format!(
+                "declared length {len} exceeds the {} bytes left in the section",
+                self.section_left
+            )));
+        }
+        let len = usize::try_from(len)
+            .map_err(|_| self.corrupt(format!("length {len} overflows usize")))?;
+        let mut buf = vec![0u8; len];
+        self.body(&mut buf)?;
+        Ok(buf)
     }
-    *offset += 8 + len;
-    Ok(body)
+
+    /// Read the next section's header and check its declared length against
+    /// the rest of the file.
+    fn open_section(&mut self, name: &'static str) -> Result<()> {
+        self.section = name;
+        self.crc = Crc32::new();
+        let (len, trailer) = if self.version == SCHEMA_V1 {
+            let len = u64::from(u32::from_le_bytes(self.array()?));
+            self.leading_crc = Some(u32::from_le_bytes(self.array()?));
+            // Schema 1 checksums the body alone.
+            self.crc = Crc32::new();
+            (len, 0)
+        } else {
+            (u64::from_le_bytes(self.array()?), 4)
+        };
+        if len.saturating_add(trailer) > self.file_left {
+            return Err(self.corrupt(format!(
+                "section claims {len} bytes but only {} remain",
+                self.file_left.saturating_sub(trailer)
+            )));
+        }
+        self.section_left = len;
+        Ok(())
+    }
+
+    /// Check that the open section was consumed exactly and that its CRC
+    /// matches.
+    fn close_section(&mut self) -> Result<()> {
+        if self.section_left != 0 {
+            return Err(self.corrupt(format!("{} unexpected trailing bytes", self.section_left)));
+        }
+        let actual = self.crc.finish();
+        let stored = match self.leading_crc.take() {
+            Some(crc) => crc,
+            None => u32::from_le_bytes(self.array()?),
+        };
+        if actual != stored {
+            return Err(self.corrupt(format!(
+                "crc mismatch: stored {stored:#010x}, computed {actual:#010x}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// A whole small section (policy, cursor), checksum verified.
+    fn small_section(&mut self, name: &'static str) -> Result<Vec<u8>> {
+        self.open_section(name)?;
+        let body = self.body_vec(self.section_left)?;
+        self.close_section()?;
+        Ok(body)
+    }
 }
 
 /// Fill in the file path on corrupt-checkpoint errors raised below the file
@@ -411,14 +647,16 @@ impl Default for RetentionPolicy {
 /// metrics (encode vs. fsync stalls vs. retry churn).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SaveStats {
-    /// Seconds spent encoding the checkpoint into its byte form.
+    /// Seconds spent framing the file before its first byte is written
+    /// (the small section bodies and the states section's length).
     pub encode_secs: f64,
-    /// Seconds spent in the atomic write protocol (temp file, `write_all`,
-    /// fsync, rename, directory fsync), summed over every attempt.
+    /// Seconds spent in the atomic write protocol (temp file, the streamed
+    /// serialise + CRC + write pass, fsync, rename, directory fsync),
+    /// summed over every attempt.
     pub write_secs: f64,
     /// Failed attempts before the write succeeded (0 for a clean save).
     pub retries: usize,
-    /// Size of the encoded checkpoint in bytes.
+    /// Size of the checkpoint file in bytes.
     pub encoded_bytes: usize,
 }
 
@@ -507,14 +745,15 @@ impl CheckpointStore {
 
     /// Save a checkpoint atomically, retrying transient I/O failures with
     /// exponential backoff, then prune old files per the retention policy.
-    /// Returns the final file path.
+    /// Every attempt streams `checkpoint` to disk afresh; no encoded copy
+    /// is kept in memory. Returns the final file path.
     ///
     /// # Errors
     /// Returns the last attempt's [`TinError::Io`] if every retry failed.
     pub fn save(&mut self, checkpoint: &Checkpoint) -> Result<PathBuf> {
         let path = self.path_for(checkpoint.cursor.processed);
         let encode_start = Instant::now();
-        let bytes = checkpoint.encode();
+        let frame = checkpoint.frame();
         let encode_secs = encode_start.elapsed().as_secs_f64();
         let mut delay = self.retry_backoff;
         let mut last_err = None;
@@ -529,7 +768,7 @@ impl CheckpointStore {
                 Some(hook) => hook().map_err(TinError::from),
                 None => Ok(()),
             }
-            .and_then(|()| write_atomic_bytes(&bytes, &path));
+            .and_then(|()| checkpoint.write_atomic_framed(&frame, &path));
             write_secs += write_start.elapsed().as_secs_f64();
             match attempt_result {
                 Ok(()) => {
@@ -537,7 +776,7 @@ impl CheckpointStore {
                         encode_secs,
                         write_secs,
                         retries: attempt,
-                        encoded_bytes: bytes.len(),
+                        encoded_bytes: usize::try_from(frame.file_len()).unwrap_or(usize::MAX),
                     });
                     self.enforce_retention()?;
                     return Ok(path);
@@ -718,6 +957,44 @@ mod tests {
         assert!(matches!(
             ckpt.restore_into(wrong.as_mut()),
             Err(TinError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn write_to_streams_exactly_the_framed_length() {
+        let ckpt = sample_checkpoint();
+        let mut streamed = Vec::new();
+        let written = ckpt.write_to(&mut streamed).unwrap();
+        let encoded = ckpt.encode();
+        assert_eq!(streamed, encoded);
+        assert_eq!(written, encoded.len() as u64);
+        assert_eq!(written, ckpt.frame().file_len());
+        assert_eq!(encoded.capacity(), encoded.len());
+        assert_eq!(encoded[8..12], SCHEMA_VERSION.to_le_bytes());
+    }
+
+    #[test]
+    fn states_section_length_above_4_gib_round_trips_as_u64() {
+        let declared = 5u64 << 30;
+        let mut header = Vec::new();
+        let mut sink = CrcSink {
+            out: &mut header,
+            crc: Crc32::new(),
+            written: 0,
+        };
+        sink.begin_section(declared).unwrap();
+        assert_eq!(header, declared.to_le_bytes());
+        // A reader whose file is long enough to hold the section sees the
+        // declared length unchanged (the body is never materialised).
+        let file_len = header.len() as u64 + declared + 4;
+        let mut r = FileReader::new(header.as_slice().chain(io::repeat(0)), file_len);
+        r.open_section("states").unwrap();
+        assert_eq!(r.section_left, declared);
+        // The same header in a file one byte too short is refused.
+        let mut r = FileReader::new(header.as_slice(), file_len - 1);
+        assert!(matches!(
+            r.open_section("states"),
+            Err(TinError::CorruptCheckpoint { section, .. }) if section == "states"
         ));
     }
 

@@ -9,6 +9,8 @@
 //! which carries the name of the checkpoint section being decoded so that
 //! a short or malformed buffer surfaces as a diagnosable
 //! [`TinError::CorruptCheckpoint`] rather than a generic I/O error.
+//! [`Crc32`] is the running section checksum the file writer and reader
+//! feed as bytes stream past.
 
 use crate::error::{Result, TinError};
 
@@ -172,34 +174,94 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) over `bytes` —
-/// the per-section integrity check of the checkpoint file format.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
+/// Slicing-by-8 lookup tables of the reflected CRC-32 polynomial
+/// `0xEDB8_8320`: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[k][i]` advances `CRC_TABLES[k - 1][i]` by one more zero byte,
+/// so eight bytes fold into the state with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        t
+        k += 1;
     }
-    const TABLE: [u32; 256] = table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    t
+};
+
+/// Running CRC-32 (IEEE 802.3) — the per-section integrity check of the
+/// checkpoint file format. Bytes can be fed in any number of
+/// [`Crc32::update`] calls; the result depends only on their concatenation.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
-    crc ^ 0xFFFF_FFFF
+}
+
+impl Crc32 {
+    /// The checksum of zero bytes.
+    pub const fn new() -> Self {
+        Crc32 { state: 0xFFFF_FFFF }
+    }
+
+    /// Fold `bytes` into the checksum, eight at a time.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
+    }
+
+    /// The checksum of every byte fed so far.
+    pub fn finish(&self) -> u32 {
+        self.state ^ 0xFFFF_FFFF
+    }
+}
+
+/// CRC-32 of `bytes` in one call (see [`Crc32`]).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 #[cfg(test)]
@@ -273,5 +335,11 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"tin"), crc32(b"tim"));
+        // Split updates see the same byte sequence as one call.
+        let mut crc = Crc32::new();
+        crc.update(b"1234");
+        crc.update(b"");
+        crc.update(b"56789");
+        assert_eq!(crc.finish(), 0xCBF4_3926);
     }
 }

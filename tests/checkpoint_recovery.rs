@@ -16,7 +16,10 @@
 
 use proptest::prelude::*;
 use tin::prelude::*;
-use tin_core::checkpoint::{Checkpoint, CheckpointStore, RetentionPolicy, SCHEMA_VERSION};
+use tin_core::checkpoint::{
+    Checkpoint, CheckpointStore, RetentionPolicy, StreamCursor, SCHEMA_VERSION,
+};
+use tin_core::codec::{crc32, Crc32};
 use tin_core::engine::ProvenanceEngine;
 use tin_shard::ShardedEngine;
 
@@ -318,6 +321,103 @@ fn future_schema_versions_are_refused() {
             ..
         })
     ));
+}
+
+/// A schema 1 file, written before schema 2 existed, still decodes — to the
+/// same state a capture of the same tracker produces today — and is just as
+/// strict about corruption. Re-saving it writes schema 2.
+#[test]
+fn schema_1_fixture_decodes_to_todays_capture() {
+    let fixture: &[u8] = include_bytes!("fixtures/checkpoint_v1_fifo.tin");
+    assert_eq!(fixture[8..12], 1u32.to_le_bytes());
+    let old = Checkpoint::decode(fixture, "checkpoint_v1_fifo.tin").unwrap();
+
+    let config = PolicyConfig::Plain(SelectionPolicy::Fifo);
+    let mut tracker = tin_core::tracker::build_tracker(&config, 3).unwrap();
+    tracker.process_all(&tin_core::interaction::paper_running_example());
+    let cursor = StreamCursor {
+        processed: 6,
+        last_time: Some(8.0),
+        total_quantity: 21.0,
+        newborn_quantity: 9.0,
+        peak_footprint_bytes: 1234,
+    };
+    let today = Checkpoint::capture(&config, cursor, tracker.as_mut()).unwrap();
+    assert_eq!(old.policy, today.policy);
+    assert_eq!(old.num_vertices, today.num_vertices);
+    assert_eq!(old.cursor, today.cursor);
+    assert_eq!(old.states, today.states);
+
+    let upgraded = old.encode();
+    assert_eq!(upgraded[8..12], SCHEMA_VERSION.to_le_bytes());
+    assert_eq!(upgraded, today.encode());
+
+    for byte in 0..fixture.len() {
+        let mut bytes = fixture.to_vec();
+        bytes[byte] ^= 0x01;
+        assert!(
+            matches!(
+                Checkpoint::decode(&bytes, ""),
+                Err(TinError::CorruptCheckpoint { .. })
+                    | Err(TinError::CheckpointVersionMismatch { .. })
+            ),
+            "flip in schema 1 byte {byte} went undetected"
+        );
+    }
+    for len in 0..fixture.len() {
+        assert!(matches!(
+            Checkpoint::decode(&fixture[..len], ""),
+            Err(TinError::CorruptCheckpoint { .. })
+        ));
+    }
+}
+
+/// Bitwise CRC-32 (IEEE 802.3, reflected polynomial), written from the
+/// polynomial alone: the reference the table-driven checksum must match.
+fn reference_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The slicing-by-8 `Crc32` equals the bitwise reference for every
+    /// length, start alignment and split of the input into `update` calls.
+    #[test]
+    fn slicing_by_8_crc_matches_the_bytewise_reference(
+        buf in prop::collection::vec(0u8..=255, 8..4104),
+        start in 0usize..8,
+        len in 0usize..4096,
+        splits in prop::collection::vec(0usize..4096, 0..6),
+    ) {
+        prop_assert_eq!(reference_crc32(b"123456789"), 0xCBF4_3926);
+        let tail = &buf[start..];
+        let bytes = &tail[..len.min(tail.len())];
+        let expected = reference_crc32(bytes);
+        prop_assert_eq!(crc32(bytes), expected);
+
+        let mut cuts: Vec<usize> = splits.iter().map(|&s| s.min(bytes.len())).collect();
+        cuts.sort_unstable();
+        let mut crc = Crc32::new();
+        let mut from = 0;
+        for cut in cuts {
+            crc.update(&bytes[from..cut]);
+            from = cut;
+        }
+        crc.update(&bytes[from..]);
+        prop_assert_eq!(crc.finish(), expected);
+    }
 }
 
 /// Retention keeps the store bounded while a long run checkpoints
